@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ceda.tabulate import CategoricalSeries
+from ceda.tabulate import CategoricalSeries, fuse_labels
 
 __all__ = [
     "BinningScheme",
@@ -230,14 +230,11 @@ def fuse_features(
 
 
 def product_categories(series_list) -> CategoricalSeries:
-    """Combine several categorical series into one label per occupied tuple."""
-    series_list = list(series_list)
-    if not series_list:
-        raise ValueError("empty series list")
-    n = len(series_list[0])
-    for s in series_list:
-        if len(s) != n:
-            raise ValueError("series lengths differ")
-    stacked = np.column_stack([s.labels for s in series_list])
-    uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    return CategoricalSeries(labels=inverse.ravel(), cardinality=uniq.shape[0])
+    """Combine several categorical series into one label per occupied tuple.
+
+    Labels are the tuples' ranks in lexicographic order of the input labels
+    (see ``ceda.tabulate.fuse_labels``); fusion never overflows, whatever
+    the number of series or the product of their cardinalities.
+    """
+    ranks, keys = fuse_labels(series_list)
+    return CategoricalSeries(labels=ranks, cardinality=keys.shape[0])

@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report, mutual_information
-from ceda.categorize import (
-    BinningScheme,
-    apply_bins,
-    fuse_features,
-    product_categories,
-    quantile_bins,
-)
+from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.nullsim import c1_test, child_rng, null_band
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import (
@@ -174,7 +168,7 @@ def build_run_config(args) -> RunConfig:
         noise = tuple(c for c in noise.split(",") if c)
     else:
         noise = tuple(noise)
-    return RunConfig(
+    config = RunConfig(
         input_path=pick("input", getattr(args, "input", None), None),
         response=response,
         covariates=covariates,
@@ -188,6 +182,18 @@ def build_run_config(args) -> RunConfig:
         noise_features=noise,
         out_format=pick("format", getattr(args, "format", None), "tsv"),
     )
+    max_order_given = getattr(args, "max_order", None) is not None or "max_order" in file_cfg
+    if max_order_given and config.covariates:
+        _check_max_order(config)
+    return config
+
+
+def _check_max_order(config: RunConfig):
+    if config.max_order > len(config.covariates):
+        raise ConfigError(
+            f"max-order {config.max_order} exceeds the number of covariates "
+            f"({len(config.covariates)})"
+        )
 
 
 def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
@@ -298,8 +304,11 @@ def _parse_subsets(text: str | None, config: RunConfig) -> list[tuple]:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -371,9 +380,7 @@ def cmd_measure(args) -> int:
     subsets = _parse_subsets(args.subsets, config)
     reports = []
     for subset in subsets:
-        series = [covs[c] for c in subset]
-        fused = series[0] if len(series) == 1 else product_categories(series)
-        table = crosstab(fused, response)
+        table = crosstab(tuple(covs[c] for c in subset), response)
         reports.append((subset, entropy_report(table)))
     if config.out_format == "json":
         payload = dict(_provenance(config))
@@ -403,9 +410,7 @@ def cmd_null(args) -> int:
     subsets = _parse_subsets(args.subsets, config)
     rows = []
     for j, subset in enumerate(subsets):
-        series = [covs[c] for c in subset]
-        fused = series[0] if len(series) == 1 else product_categories(series)
-        table = crosstab(fused, response)
+        table = crosstab(tuple(covs[c] for c in subset), response)
         band = null_band(
             table, "mutual_information", config.replicates, child_rng(config.seed, 10, j)
         )
@@ -450,6 +455,10 @@ def cmd_grid(args) -> int:
         x_ladder = [int(v) for v in args.x_ladder.split(",")]
     except ValueError as exc:
         raise ConfigError("ladders must be comma-separated integers") from exc
+    n = len(data[config.response[0]])
+    bad = [k for k in y_ladder + x_ladder if not 1 <= k <= n]
+    if bad:
+        raise ConfigError(f"ladder values must lie in 1..{n} (the row count): {bad}")
     cells = mi_grid(
         data[config.response[0]],
         data[config.covariates[0]],
@@ -490,6 +499,7 @@ def cmd_select(args) -> int:
         raise ConfigError("select requires --input")
     data = ingest_csv(config.input_path, config)
     covs, response = _build_series(data, config)
+    _check_max_order(config)
     pcfg = ProtocolConfig(
         max_order=config.max_order,
         replicates=config.replicates,

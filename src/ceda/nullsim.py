@@ -26,7 +26,7 @@ from ceda.tabulate import (
     crosstab,
     per_column_row_entropy,
 )
-from ceda.categorize import apply_bins, product_categories, quantile_bins
+from ceda.categorize import apply_bins, quantile_bins
 
 __all__ = [
     "C1Verdict",
@@ -293,9 +293,8 @@ def noise_reference_band(
         return NullBand("conditional_entropy", 2, h, 0.0, h, h, None)
     samples = np.empty(n_replicates)
     for b in range(n_replicates):
-        series = [synthetic_noise_series(n, n_bins, rng) for _ in range(subset_size)]
-        fused = series[0] if subset_size == 1 else product_categories(series)
-        samples[b] = conditional_entropy(crosstab(fused, response))
+        series = tuple(synthetic_noise_series(n, n_bins, rng) for _ in range(subset_size))
+        samples[b] = conditional_entropy(crosstab(series, response))
     return band_from_samples("conditional_entropy", samples)
 
 

@@ -11,6 +11,7 @@ measured with noise padding up to the same dimension.
 from __future__ import annotations
 
 import itertools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -143,32 +144,61 @@ def enumerate_subsets(features, max_order: int) -> list[tuple]:
     return out
 
 
+class _OnceCache:
+    """Memo whose entries are computed once, however many threads ask.
+
+    A thread that finds an entry being computed waits for it instead of
+    computing it again.  Each key has its own lock, so different keys are
+    computed concurrently; the evaluator's caches only ever wait on one
+    another in the order padding/reference -> table -> fused, so the locks
+    cannot deadlock.  A computation that raises leaves its entry empty.
+    """
+
+    _EMPTY = object()
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+
+    def get(self, key, compute):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = [threading.Lock(), self._EMPTY]
+        with entry[0]:
+            if entry[1] is self._EMPTY:
+                entry[1] = compute()
+        return entry[1]
+
+
 class SubsetEvaluator:
-    """Caches fused series, tables and CEs over one categorized dataset."""
+    """Caches fused series, tables and CEs over one categorized dataset.
+
+    Safe to share between threads: every cache entry is computed once.
+    """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
         self.covariates = dict(covariates)
         self.response = response
         self.config = config
         self.n = len(response)
-        self._fused: dict = {}
-        self._tables: dict = {}
-        self._pad_cache: dict = {}
-        self._ref_cache: dict = {}
+        self._fused = _OnceCache()
+        self._tables = _OnceCache()
+        self._pad_cache = _OnceCache()
+        self._ref_cache = _OnceCache()
         self.h_y = column_margin_entropy(
             crosstab(next(iter(self.covariates.values())), response)
         )
 
     def fused(self, subset: tuple) -> CategoricalSeries:
-        if subset not in self._fused:
+        def compute():
             series = [self.covariates[f] for f in subset]
-            self._fused[subset] = series[0] if len(series) == 1 else product_categories(series)
-        return self._fused[subset]
+            return series[0] if len(series) == 1 else product_categories(series)
+
+        return self._fused.get(subset, compute)
 
     def table(self, subset: tuple):
-        if subset not in self._tables:
-            self._tables[subset] = crosstab(self.fused(subset), self.response)
-        return self._tables[subset]
+        return self._tables.get(subset, lambda: crosstab(self.fused(subset), self.response))
 
     def ce(self, subset: tuple) -> float:
         return conditional_entropy(self.table(subset))
@@ -182,8 +212,9 @@ class SubsetEvaluator:
         Designated noise features give the reference when at least k of them
         exist (all k-combinations); otherwise synthetic uniforms are drawn.
         """
-        if k in self._ref_cache:
-            return self._ref_cache[k]
+        return self._ref_cache.get(k, lambda: self._reference_band(k))
+
+    def _reference_band(self, k: int) -> NullBand:
         cfg = self.config
         noise = [f for f in cfg.noise_features if f in self.covariates]
         if len(noise) >= max(k, 2) and k >= 1:
@@ -193,59 +224,55 @@ class SubsetEvaluator:
             ]
             if len(samples) < 2:
                 samples = samples * 2
-            band = band_from_samples("conditional_entropy", np.asarray(samples))
-        else:
-            rng = child_rng(cfg.seed, 90, k)
-            n_bins = self._bins_for_noise()
-            samples = np.empty(cfg.ref_replicates)
-            for b in range(cfg.ref_replicates):
-                cols = [
-                    synthetic_noise_series(self.n, n_bins, rng) for _ in range(k)
-                ]
-                fused = cols[0] if k == 1 else product_categories(cols)
-                samples[b] = conditional_entropy(crosstab(fused, self.response))
-            band = band_from_samples("conditional_entropy", samples)
-        self._ref_cache[k] = band
-        return band
+            return band_from_samples("conditional_entropy", np.asarray(samples))
+        rng = child_rng(cfg.seed, 90, k)
+        n_bins = self._bins_for_noise()
+        samples = np.empty(cfg.ref_replicates)
+        for b in range(cfg.ref_replicates):
+            cols = [
+                synthetic_noise_series(self.n, n_bins, rng) for _ in range(k)
+            ]
+            fused = cols[0] if k == 1 else product_categories(cols)
+            samples[b] = conditional_entropy(crosstab(fused, self.response))
+        return band_from_samples("conditional_entropy", samples)
 
     def padded_ce_samples(self, subset: tuple, target_order: int) -> np.ndarray:
         """H[Y | subset + noise padding] samples at dimension ``target_order``."""
-        pad = target_order - len(subset)
-        key = (subset, target_order)
-        if key in self._pad_cache:
-            return self._pad_cache[key]
-        if pad < 0:
+        if target_order < len(subset):
             raise ValueError("target order below the subset size")
+        return self._pad_cache.get(
+            (subset, target_order), lambda: self._padded_ce_samples(subset, target_order)
+        )
+
+    def _padded_ce_samples(self, subset: tuple, target_order: int) -> np.ndarray:
+        pad = target_order - len(subset)
         if pad == 0:
-            samples = np.array([self.ce(subset), self.ce(subset)])
-        else:
-            cfg = self.config
-            noise = [
-                f
-                for f in cfg.noise_features
-                if f in self.covariates and f not in subset
-            ]
-            samples_list = []
-            if len(noise) >= pad:
-                for combo in itertools.combinations(noise, pad):
-                    fused = product_categories(
-                        [self.fused(subset)] + [self.covariates[f] for f in combo]
-                    )
-                    samples_list.append(conditional_entropy(crosstab(fused, self.response)))
-            if len(samples_list) < 2:
-                rng = child_rng(cfg.seed, 91, target_order, _subset_tag(subset))
-                n_bins = self._bins_for_noise()
-                for _ in range(cfg.pad_replicates):
-                    cols = [
-                        synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad)
-                    ]
-                    fused = product_categories([self.fused(subset)] + cols)
-                    samples_list.append(
-                        conditional_entropy(crosstab(fused, self.response))
-                    )
-            samples = np.asarray(samples_list)
-        self._pad_cache[key] = samples
-        return samples
+            return np.array([self.ce(subset), self.ce(subset)])
+        cfg = self.config
+        noise = [
+            f
+            for f in cfg.noise_features
+            if f in self.covariates and f not in subset
+        ]
+        samples_list = []
+        if len(noise) >= pad:
+            for combo in itertools.combinations(noise, pad):
+                fused = product_categories(
+                    [self.fused(subset)] + [self.covariates[f] for f in combo]
+                )
+                samples_list.append(conditional_entropy(crosstab(fused, self.response)))
+        if len(samples_list) < 2:
+            rng = child_rng(cfg.seed, 91, target_order, _subset_tag(subset))
+            n_bins = self._bins_for_noise()
+            for _ in range(cfg.pad_replicates):
+                cols = [
+                    synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad)
+                ]
+                fused = product_categories([self.fused(subset)] + cols)
+                samples_list.append(
+                    conditional_entropy(crosstab(fused, self.response))
+                )
+        return np.asarray(samples_list)
 
     def padded_ce(self, subset: tuple, target_order: int) -> float:
         return float(self.padded_ce_samples(subset, target_order).mean())

@@ -23,6 +23,7 @@ __all__ = [
     "conditional_entropy",
     "crosstab",
     "entropy_report",
+    "fuse_labels",
     "joint_entropy",
     "mutual_information",
     "per_column_row_entropy",
@@ -146,11 +147,59 @@ class EntropyReport:
         return json.dumps(obj)
 
 
+def fuse_labels(series) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the occupied label tuples of several series, lexicographically.
+
+    Returns ``(ranks, keys)``: ``ranks[i]`` is the dense 0-based rank of
+    record i's label tuple and ``keys[r]`` is the tuple of rank r, one
+    column per series, so ``keys[ranks]`` rebuilds the stacked labels.  The
+    order is that of ``np.unique(np.column_stack(labels), axis=0)``.
+
+    Series are fused one at a time as the mixed-radix code
+    ``rank * cardinality + label`` and re-ranked after each step, so a code
+    stays below (records x cardinality) and never overflows int64, at any
+    number of series.  A step whose code range is at most the record count
+    is ranked with a bincount occupancy table; a wider one falls back to a
+    1-D sort, which keeps memory bounded by the record count.
+    """
+    series = list(series)
+    if not series:
+        raise ValueError("empty series list")
+    n = len(series[0])
+    for s in series:
+        if len(s) != n:
+            raise ValueError("series lengths differ")
+    ranks = np.zeros(n, dtype=np.int64)
+    keys = np.zeros((1, 0), dtype=np.int64)
+    for s in series:
+        labels, card = s.labels, s.cardinality
+        values = None
+        if card > n:
+            # more categories than records: rank the labels that occur
+            values, labels = np.unique(labels, return_inverse=True)
+            card = values.size
+        code = ranks * card + labels
+        span = keys.shape[0] * card
+        if span <= n:
+            occupied = np.bincount(code, minlength=span) > 0
+            codes = np.flatnonzero(occupied)
+            ranks = (np.cumsum(occupied) - 1)[code]
+        else:
+            codes, ranks = np.unique(code, return_inverse=True)
+        prev, last = np.divmod(codes, card)
+        if values is not None:
+            last = values[last]
+        keys = np.column_stack([keys[prev], last])
+    return ranks, keys
+
+
 def crosstab(covariate, response: CategoricalSeries) -> ContingencyTable:
     """Cross-tabulate one covariate (or a tuple of them) against the response.
 
-    Row keys are the occupied covariate tuples only; columns cover every
-    response category, empty ones included.
+    A tuple of series is fused on the fly, exactly as ``product_categories``
+    would fuse it: row keys are the occupied covariate tuples only, in
+    lexicographic order of the input labels.  Columns cover every response
+    category, empty ones included.
     """
     if isinstance(covariate, CategoricalSeries):
         covs = (covariate,)
@@ -162,14 +211,12 @@ def crosstab(covariate, response: CategoricalSeries) -> ContingencyTable:
     for c in covs:
         if len(c) != n:
             raise ValueError("covariate and response lengths differ")
-    stacked = np.column_stack([c.labels for c in covs])
-    uniq, row_idx = np.unique(stacked, axis=0, return_inverse=True)
-    row_idx = row_idx.ravel()
-    n_rows = uniq.shape[0]
+    row_idx, keys = fuse_labels(covs)
+    n_rows = keys.shape[0]
     n_cols = response.cardinality
     counts = np.bincount(row_idx * n_cols + response.labels, minlength=n_rows * n_cols)
     counts = counts.reshape(n_rows, n_cols)
-    row_keys = tuple(tuple(int(v) for v in key) for key in uniq)
+    row_keys = tuple(map(tuple, keys.tolist()))
     if response.names is not None:
         col_keys = tuple(response.names)
     else:

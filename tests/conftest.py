@@ -1,6 +1,10 @@
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import ceda.protocol
 from ceda.categorize import apply_bins, quantile_bins
 from ceda.genlab import GeneratorSpec, sample
 
@@ -41,3 +45,21 @@ def table_from_counts(counts):
         col_keys=tuple(range(counts.shape[1])),
         total=int(counts.sum()),
     )
+
+
+def count_fusion_calls(monkeypatch) -> Counter:
+    """Count the evaluator's crosstab and product_categories calls, thread-safely."""
+    calls = Counter()
+    lock = threading.Lock()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("crosstab", "product_categories"):
+        monkeypatch.setattr(ceda.protocol, name, counting(name, getattr(ceda.protocol, name)))
+    return calls

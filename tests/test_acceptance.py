@@ -119,6 +119,7 @@ def _mixture_confirmations(mu, seed):
     return out
 
 
+@pytest.mark.slow
 def test_04_mixture_discrimination():
     quiet = sum(
         not any(_mixture_confirmations((0.5, 0.5), seed)) for seed in range(1, 21)
@@ -139,6 +140,7 @@ def _grid_cells(y, x, ladder, seed, replicates=1000):
     return mi_grid(y, x, ladder, ladder, n_replicates=replicates, seed=seed)
 
 
+@pytest.mark.slow
 def test_05_bivariate_dependence_grid():
     ladder = [12, 22, 32, 102]
     data = sample(GeneratorSpec("ex3_rho", 20_000, seed=1, params={"rho": 0.5}))
@@ -171,6 +173,7 @@ def test_05_bivariate_dependence_grid():
     )
 
 
+@pytest.mark.slow
 def test_06_additive_sine_selection():
     hits = 0
     for seed in range(1, 11):
@@ -242,6 +245,7 @@ def test_07_fused_route_escapes_dimension_curse():
     )
 
 
+@pytest.mark.slow
 def test_08_dependent_covariate_structure():
     data = sample(GeneratorSpec("ex6", 100_000, seed=1))
     y = binned(data["Y"], 20)

@@ -9,6 +9,7 @@ from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import fuse_features, quantile_bins, apply_bins
 from ceda.genlab import GeneratorSpec, sample
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
+from conftest import count_fusion_calls
 
 
 def run(capsys, *argv):
@@ -110,6 +111,31 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in err
+
+    @pytest.mark.parametrize("command", ["select", "measure", "null"])
+    def test_max_order_above_covariate_count_is_exit_3(self, capsys, ex1_csv, command):
+        code, out, err = run(
+            capsys, command, "--max-order", "2", "--input", ex1_csv,
+            "--response", "Y", "--covariates", "V1", "--replicates", "50",
+        )
+        assert code == 3
+        assert err.startswith("config error:")
+        assert out == ""
+
+    def test_select_default_max_order_above_covariate_count_is_exit_3(self, capsys, ex1_csv):
+        code, _, err = run(
+            capsys, "select", "--input", ex1_csv, "--response", "Y", "--covariates", "V1",
+        )
+        assert code == 3
+        assert "config error: max-order 2" in err
+
+    def test_unwritable_out_is_exit_3(self, capsys, tmp_path, ex1_csv):
+        code, _, err = run(
+            capsys, "measure", "--input", ex1_csv, "--response", "Y",
+            "--covariates", "V1", "--out", str(tmp_path / "missing" / "report.tsv"),
+        )
+        assert code == 3
+        assert err.startswith("config error: cannot write")
 
     def test_invalid_config_file_is_exit_3(self, capsys, tmp_path, ex1_csv):
         bad = tmp_path / "cfg.json"
@@ -239,6 +265,17 @@ class TestGridCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("ladder", [("--y-ladder", "0"), ("--x-ladder", "3,4")])
+    def test_ladder_outside_one_to_n_is_config_error(self, capsys, tmp_path, ladder):
+        path = tmp_path / "d.csv"
+        path.write_text("Y,X\n1,2\n3,4\n5,6\n")
+        code, _, err = run(
+            capsys, "grid", "--input", str(path), "--response", "Y",
+            "--covariates", "X", "--y-ladder", "2", "--x-ladder", "2", *ladder,
+        )
+        assert code == 3
+        assert err.startswith("config error: ladder values")
+
 
 class TestSelectCommand:
     def test_names_the_planted_factors(self, capsys, tmp_path):
@@ -257,3 +294,23 @@ class TestSelectCommand:
         assert payload["interactions"] == [["X2", "X3"]]
         assert payload["config_digest"]
         assert "ledger_tsv" in payload
+
+    def test_thread_count_changes_neither_work_nor_report(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "ex4.csv"
+        assert main(
+            ["simulate", "--example", "ex4", "--n", "2000", "--seed", "1",
+             "--out", str(path)]
+        ) == 0
+        calls = count_fusion_calls(monkeypatch)
+        seen = []
+        for threads in ("1", "2"):
+            calls.clear()
+            code, out, _ = run(
+                capsys, "select", "--input", str(path), "--response", "Y",
+                "--covariates", "X1,X2,X3,X4", "--seed", "1", "--replicates", "50",
+                "--threads", threads, "--format", "json",
+            )
+            assert code == 0
+            seen.append((dict(calls), out))
+        assert seen[0][0]["crosstab"] > 0 and seen[0][0]["product_categories"] > 0
+        assert seen[1] == seen[0]

@@ -1,5 +1,7 @@
 """Randomized invariants over tables, binnings and nulls."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
@@ -10,6 +12,7 @@ from ceda.tabulate import (
     CategoricalSeries,
     conditional_entropy,
     crosstab,
+    fuse_labels,
     joint_entropy,
     mutual_information,
 )
@@ -115,3 +118,67 @@ def test_null_band_seed_determinism(counts, seed):
     a = null_band(t, "mutual_information", 50, child_rng(seed))
     b = null_band(t, "mutual_information", 50, child_rng(seed))
     assert (a.mean, a.sd, a.q025, a.q975) == (b.mean, b.sd, b.q025, b.q975)
+
+
+@st.composite
+def fusion_inputs(draw, n_series=st.integers(1, 5), cards=st.integers(1, 12), separate_first=False):
+    """Label series (some categories unoccupied) plus a response, all of one length.
+
+    With ``separate_first`` the first series gives every record its own
+    label, so the next step's code range (records x cardinality) exceeds the
+    record count and fusion must take its 1-D sort path.
+    """
+    n = draw(st.integers(1, 60))
+    series = []
+    if separate_first:
+        extra = draw(st.integers(0, 5))
+        series.append(as_series(np.array(draw(st.permutations(range(n)))), n + extra))
+    for _ in range(draw(n_series)):
+        card = draw(cards)
+        lo = draw(st.integers(0, card - 1))
+        hi = draw(st.integers(lo, card - 1))
+        labels = draw(hnp.arrays(np.int64, n, elements=st.integers(lo, hi)))
+        series.append(as_series(labels, card))
+    response = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+    return series, as_series(response, 4)
+
+
+def check_fusion_against_unique_rows(series, response):
+    stacked = np.column_stack([s.labels for s in series])
+    keys, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+
+    ranks, fused_keys = fuse_labels(series)
+    assert ranks.tolist() == inverse.tolist()
+    assert fused_keys.tolist() == keys.tolist()
+
+    fused = product_categories(series)
+    assert fused.labels.tolist() == inverse.tolist()
+    assert fused.cardinality == keys.shape[0]
+
+    table = crosstab(tuple(series), response)
+    assert table.row_keys == tuple(tuple(int(v) for v in key) for key in keys)
+    expected = np.zeros((keys.shape[0], response.cardinality), dtype=np.int64)
+    np.add.at(expected, (inverse, response.labels), 1)
+    assert table.counts.tolist() == expected.tolist()
+    assert table.counts.tolist() == crosstab(fused, response).counts.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fusion_inputs())
+def test_fusion_matches_unique_rows(inputs):
+    check_fusion_against_unique_rows(*inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusion_inputs(n_series=st.integers(1, 4), cards=st.integers(2, 12), separate_first=True))
+def test_fusion_wide_step_matches_unique_rows(inputs):
+    check_fusion_against_unique_rows(*inputs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(fusion_inputs(n_series=st.just(8), cards=st.just(512)))
+def test_fusion_past_int64_cardinality_product(inputs):
+    series, response = inputs
+    assert math.prod(s.cardinality for s in series) > 2**63
+    check_fusion_against_unique_rows(series, response)

@@ -1,5 +1,8 @@
 """Subset ledgers, pair classification and major-factor selection."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from ceda.protocol import (
     select_major_factors,
 )
 from ceda.tabulate import CategoricalSeries
-from conftest import binned
+from conftest import binned, count_fusion_calls
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +231,35 @@ class TestMiGrid:
         assert [
             (c.report.mutual_info, c.band.mean, c.verdict.status) for c in one
         ] == [(c.report.mutual_info, c.band.mean, c.verdict.status) for c in many]
+
+
+class TestSharedEvaluator:
+    def test_entries_computed_once_under_thread_contention(self, monkeypatch):
+        data = sample(GeneratorSpec("ex4", 600, seed=3))
+        y = binned(data["Y"], 4)
+        cov = {f: binned(data[f], 4) for f in ("X1", "X2", "X3", "X4")}
+        cfg = ProtocolConfig(max_order=2, seed=1, ref_replicates=6, pad_replicates=6)
+        calls = count_fusion_calls(monkeypatch)
+
+        def work(evaluator):
+            return (
+                evaluator.reference_band(2).mean,
+                evaluator.padded_ce_samples(("X1",), 2).tolist(),
+                evaluator.ce(("X2", "X3")),
+            )
+
+        expected = work(SubsetEvaluator(cov, y, cfg))
+        expected_calls = dict(calls)
+        calls.clear()
+
+        shared = SubsetEvaluator(cov, y, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, shared) for _ in range(16)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 16
+        assert dict(calls) == expected_calls
