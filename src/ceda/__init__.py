@@ -2,88 +2,30 @@
 
 Entropy and mutual-information measurements on contingency tables,
 mimicry-based null distributions, and a major-factor selection
-protocol over covariate subsets.
+protocol over covariate subsets.  The names below are the ones a typical
+analysis needs; everything else is imported from its submodule
+(``ceda.tabulate``, ``ceda.categorize``, ``ceda.nullsim``, ``ceda.genlab``,
+``ceda.protocol``).
 """
 
-from ceda.tabulate import (
-    CategoricalSeries,
-    ContingencyTable,
-    EntropyReport,
-    column_margin_entropy,
-    conditional_entropy,
-    crosstab,
-    entropy_report,
-    mutual_information,
-    per_column_row_entropy,
-)
-from ceda.categorize import (
-    BinningScheme,
-    KMeansModel,
-    apply_bins,
-    fuse_features,
-    kmeans_fit,
-    product_categories,
-    quantile_bins,
-)
-from ceda.nullsim import (
-    C1Verdict,
-    NullBand,
-    c1_test,
-    localize_differences,
-    mimic_table,
-    noise_padded_reference,
-    null_band,
-)
-from ceda.genlab import GeneratorSpec, gaussian_entropy, sample, theoretical_ex1
-from ceda.protocol import (
-    MajorFactorReport,
-    ProtocolConfig,
-    SubsetEvaluator,
-    SubsetLedgerEntry,
-    build_ledger,
-    classify_subset,
-    enumerate_subsets,
-    mi_grid,
-    sce_star_drop,
-    select_major_factors,
-)
+from ceda.tabulate import crosstab, entropy_report, mutual_information
+from ceda.categorize import apply_bins, product_categories, quantile_bins
+from ceda.nullsim import c1_test, null_band
+from ceda.genlab import GeneratorSpec, sample
+from ceda.protocol import ProtocolConfig, SubsetEvaluator, select_major_factors
 
 __all__ = [
-    "BinningScheme",
-    "C1Verdict",
-    "CategoricalSeries",
-    "ContingencyTable",
-    "EntropyReport",
     "GeneratorSpec",
-    "KMeansModel",
-    "MajorFactorReport",
-    "NullBand",
     "ProtocolConfig",
     "SubsetEvaluator",
-    "SubsetLedgerEntry",
     "apply_bins",
-    "build_ledger",
     "c1_test",
-    "classify_subset",
-    "column_margin_entropy",
-    "conditional_entropy",
     "crosstab",
     "entropy_report",
-    "fuse_features",
-    "gaussian_entropy",
-    "kmeans_fit",
-    "enumerate_subsets",
-    "localize_differences",
-    "mi_grid",
-    "mimic_table",
     "mutual_information",
-    "noise_padded_reference",
     "null_band",
-    "per_column_row_entropy",
     "product_categories",
     "quantile_bins",
     "sample",
-    "sce_star_drop",
     "select_major_factors",
-    "theoretical_ex1",
 ]

@@ -19,8 +19,9 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from ceda.nullsim import c1_test, child_rng, null_band
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import (
     ProtocolConfig,
+    SubsetEvaluator,
     build_ledger,
     ledger_to_tsv,
     mi_grid,
@@ -128,21 +130,23 @@ def _parse_categorize(text: str | None) -> dict:
     return out
 
 
-def _load_config_file(path: str) -> dict:
+def _load_json_object(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"{what} must hold a JSON object")
     return obj
 
 
 def build_run_config(args) -> RunConfig:
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = (
+        _load_json_object(args.config, "config file") if getattr(args, "config", None) else {}
+    )
 
     def pick(name, flag_value, default):
         if flag_value is not None:
@@ -200,7 +204,7 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
     """Read a UTF-8 header CSV into named columns with role-aware parsing.
 
     Columns categorized as "categorical" keep their string labels; all other
-    requested columns must parse as decimals.  Errors name the offending
+    requested columns must parse as finite decimals.  Errors name the offending
     data row (1-based, excluding the header) and column.
     """
     try:
@@ -238,11 +242,14 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
                 columns[c].append(token)
                 continue
             try:
-                columns[c].append(float(token))
+                value = float(token)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise DataError(
-                    f"{path}: row {i}, column {c!r}: cannot parse {token!r} as a number"
-                ) from None
+                    f"{path}: row {i}, column {c!r}: cannot parse {token!r} as a finite number"
+                )
+            columns[c].append(value)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return {
@@ -261,12 +268,20 @@ def _categorize_column(name: str, values: np.ndarray, config: RunConfig) -> Cate
             names=tuple(str(u) for u in uniq),
         )
     if method == "kmeans":
-        return fuse_features(values, k, seed=config.seed, sort_centroids=True)
+        return _kmeans_series(name, values, k, config)
     try:
         scheme = quantile_bins(values, k)
     except ValueError as exc:
         raise DataError(f"column {name!r}: {exc}") from exc
     return apply_bins(values, scheme)
+
+
+def _kmeans_series(name: str, values: np.ndarray, k: int, config: RunConfig) -> CategoricalSeries:
+    if k > len(values):
+        raise ConfigError(
+            f"column {name!r}: kmeans:{k} asks for more clusters than the {len(values)} rows"
+        )
+    return fuse_features(values, k, seed=config.seed, sort_centroids=True)
 
 
 def _build_series(data, config: RunConfig):
@@ -281,7 +296,7 @@ def _build_series(data, config: RunConfig):
         # multi-column response: K-means fusion on the stacked coordinates
         block = np.column_stack([data[c] for c in config.response])
         k = config.categorize.get(config.response[0], ("kmeans", 10))[1]
-        response = fuse_features(block, k, seed=config.seed, sort_centroids=True)
+        response = _kmeans_series(",".join(config.response), block, k, config)
     covs = {c: _categorize_column(c, data[c], config) for c in config.covariates}
     return covs, response
 
@@ -345,21 +360,28 @@ def cmd_bins(args) -> int:
     config = build_run_config(args)
     if not config.input_path:
         raise ConfigError("bins requires --input")
-    data = ingest_csv(config.input_path, config)
     if args.replay:
-        with open(args.replay, encoding="utf-8") as fh:
-            schemes = json.load(fh)
-        lines = []
+        schemes = _load_json_object(args.replay, "replay file")
         cols = list(schemes)
-        lines.append(",".join(cols))
-        labeled = {
-            c: apply_bins(data[c], BinningScheme.from_json(json.dumps(s))).labels
-            for c, s in schemes.items()
-        }
-        for i in range(len(next(iter(labeled.values())))):
+        if not cols:
+            raise ConfigError(f"replay file {args.replay} holds no schemes")
+        # read exactly the scheme's columns: a column the CSV lacks is a data error
+        data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(cols)))
+        labeled = {}
+        for c, s in schemes.items():
+            try:
+                scheme = BinningScheme.from_json(json.dumps(s))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"replay file {args.replay}: bad scheme for {c!r}: {exc}"
+                ) from exc
+            labeled[c] = apply_bins(data[c], scheme).labels
+        lines = [",".join(cols)]
+        for i in range(len(data[cols[0]])):
             lines.append(",".join(str(int(labeled[c][i])) for c in cols))
         _emit("\n".join(lines) + "\n", args.out)
         return 0
+    data = ingest_csv(config.input_path, config)
     out = dict(_provenance(config))
     targets = list(config.covariates) + list(config.response) or list(data)
     for c in targets:
@@ -510,8 +532,9 @@ def cmd_select(args) -> int:
         threads=config.threads,
     )
     _log(f"select: {len(covs)} covariates, max order {config.max_order}")
-    ledger = build_ledger(covs, response, config.max_order, pcfg)
-    report = select_major_factors(covs, response, pcfg)
+    evaluator = SubsetEvaluator(covs, response, pcfg)
+    ledger = build_ledger(evaluator)
+    report = select_major_factors(evaluator)
     payload = dict(_provenance(config))
     payload["chief"] = list(report.chief_collection)
     payload["alternatives"] = [list(s) for s in report.alternative_collections]

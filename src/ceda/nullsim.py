@@ -37,7 +37,6 @@ __all__ = [
     "localize_differences",
     "mimic_ce_samples",
     "mimic_table",
-    "noise_padded_reference",
     "noise_reference_band",
     "null_band",
 ]
@@ -297,15 +296,3 @@ def noise_reference_band(
         samples[b] = conditional_entropy(crosstab(series, response))
     return band_from_samples("conditional_entropy", samples)
 
-
-def noise_padded_reference(
-    response: CategoricalSeries,
-    subset_size: int,
-    n_bins: int,
-    n_replicates: int = 100,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """Reference level H^(k)[Y]: mean of the synthetic-noise CE ensemble."""
-    return noise_reference_band(
-        response, subset_size, n_bins, n_replicates=n_replicates, rng=rng
-    ).mean

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ceda.tabulate import (
     CategoricalSeries,
-    column_margin_entropy,
     conditional_entropy,
     crosstab,
     entropy_report,
@@ -32,6 +31,7 @@ from ceda.nullsim import (
     band_from_samples,
     c1_test,
     child_rng,
+    noise_reference_band,
     null_band,
     synthetic_noise_series,
 )
@@ -149,9 +149,10 @@ class _OnceCache:
 
     A thread that finds an entry being computed waits for it instead of
     computing it again.  Each key has its own lock, so different keys are
-    computed concurrently; the evaluator's caches only ever wait on one
-    another in the order padding/reference -> table -> fused, so the locks
-    cannot deadlock.  A computation that raises leaves its entry empty.
+    computed concurrently; an entry only ever waits on entries of a kind
+    further down the order padding/reference/verdict -> table -> fused, so
+    the locks cannot deadlock.  A computation that raises leaves its entry
+    empty.
     """
 
     _EMPTY = object()
@@ -172,9 +173,12 @@ class _OnceCache:
 
 
 class SubsetEvaluator:
-    """Caches fused series, tables and CEs over one categorized dataset.
+    """One run's categorized data, its config, and everything derived from them.
 
-    Safe to share between threads: every cache entry is computed once.
+    Fused series, tables, C1 verdicts, reference bands and padding samples
+    depend only on the data, the config and keyed seeds, so each is
+    computed once and memoised under ``(kind, key)``.  Safe to share
+    between threads.
     """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
@@ -182,26 +186,38 @@ class SubsetEvaluator:
         self.response = response
         self.config = config
         self.n = len(response)
-        self._fused = _OnceCache()
-        self._tables = _OnceCache()
-        self._pad_cache = _OnceCache()
-        self._ref_cache = _OnceCache()
-        self.h_y = column_margin_entropy(
-            crosstab(next(iter(self.covariates.values())), response)
-        )
+        self._memo = _OnceCache()
 
     def fused(self, subset: tuple) -> CategoricalSeries:
         def compute():
             series = [self.covariates[f] for f in subset]
             return series[0] if len(series) == 1 else product_categories(series)
 
-        return self._fused.get(subset, compute)
+        return self._memo.get(("fused", subset), compute)
 
     def table(self, subset: tuple):
-        return self._tables.get(subset, lambda: crosstab(self.fused(subset), self.response))
+        return self._memo.get(
+            ("table", subset), lambda: crosstab(self.fused(subset), self.response)
+        )
 
     def ce(self, subset: tuple) -> float:
         return conditional_entropy(self.table(subset))
+
+    def mi_verdict(self, subset: tuple) -> C1Verdict:
+        """[C1] verdict on I[Y; subset] against its mimic null band."""
+
+        def compute():
+            cfg = self.config
+            table = self.table(subset)
+            band = null_band(
+                table,
+                "mutual_information",
+                cfg.replicates,
+                child_rng(cfg.seed, 1, _subset_tag(subset)),
+            )
+            return c1_test(mutual_information(table), band)
+
+        return self._memo.get(("verdict", subset), compute)
 
     def _bins_for_noise(self) -> int:
         return max(c.cardinality for c in self.covariates.values())
@@ -212,9 +228,32 @@ class SubsetEvaluator:
         Designated noise features give the reference when at least k of them
         exist (all k-combinations); otherwise synthetic uniforms are drawn.
         """
-        return self._ref_cache.get(k, lambda: self._reference_band(k))
+        return self._noise_level((), k)[0]
 
-    def _reference_band(self, k: int) -> NullBand:
+    def padded_ce_samples(self, subset: tuple, target_order: int) -> np.ndarray:
+        """H[Y | subset + noise padding] samples at dimension ``target_order``."""
+        if not subset or target_order < len(subset):
+            raise ValueError("need a non-empty subset no larger than the target order")
+        return self._noise_level(subset, target_order)[0]
+
+    def padded_ce(self, subset: tuple, target_order: int) -> float:
+        return float(self.padded_ce_samples(subset, target_order).mean())
+
+    def drew_synthetic(self, subset: tuple, target_order: int) -> bool:
+        """Whether the noise level of ``subset`` at ``target_order`` drew synthetic noise.
+
+        The empty subset stands for the reference band at ``target_order``.
+        """
+        return self._noise_level(subset, target_order)[1]
+
+    def _noise_level(self, subset: tuple, order: int) -> tuple:
+        if subset:
+            return self._memo.get(
+                ("padding", subset, order), lambda: self._padded_ce_samples(subset, order)
+            )
+        return self._memo.get(("reference", order), lambda: self._reference_band(order))
+
+    def _reference_band(self, k: int) -> tuple[NullBand, bool]:
         cfg = self.config
         noise = [f for f in cfg.noise_features if f in self.covariates]
         if len(noise) >= max(k, 2) and k >= 1:
@@ -224,58 +263,41 @@ class SubsetEvaluator:
             ]
             if len(samples) < 2:
                 samples = samples * 2
-            return band_from_samples("conditional_entropy", np.asarray(samples))
-        rng = child_rng(cfg.seed, 90, k)
-        n_bins = self._bins_for_noise()
-        samples = np.empty(cfg.ref_replicates)
-        for b in range(cfg.ref_replicates):
-            cols = [
-                synthetic_noise_series(self.n, n_bins, rng) for _ in range(k)
-            ]
-            fused = cols[0] if k == 1 else product_categories(cols)
-            samples[b] = conditional_entropy(crosstab(fused, self.response))
-        return band_from_samples("conditional_entropy", samples)
-
-    def padded_ce_samples(self, subset: tuple, target_order: int) -> np.ndarray:
-        """H[Y | subset + noise padding] samples at dimension ``target_order``."""
-        if target_order < len(subset):
-            raise ValueError("target order below the subset size")
-        return self._pad_cache.get(
-            (subset, target_order), lambda: self._padded_ce_samples(subset, target_order)
+            return band_from_samples("conditional_entropy", np.asarray(samples)), False
+        band = noise_reference_band(
+            self.response,
+            k,
+            self._bins_for_noise(),
+            cfg.ref_replicates,
+            child_rng(cfg.seed, 90, k),
         )
+        return band, True
 
-    def _padded_ce_samples(self, subset: tuple, target_order: int) -> np.ndarray:
+    def _padded_ce_samples(self, subset: tuple, target_order: int) -> tuple[np.ndarray, bool]:
         pad = target_order - len(subset)
         if pad == 0:
-            return np.array([self.ce(subset), self.ce(subset)])
+            return np.array([self.ce(subset), self.ce(subset)]), False
         cfg = self.config
         noise = [
             f
             for f in cfg.noise_features
             if f in self.covariates and f not in subset
         ]
-        samples_list = []
-        if len(noise) >= pad:
-            for combo in itertools.combinations(noise, pad):
-                fused = product_categories(
-                    [self.fused(subset)] + [self.covariates[f] for f in combo]
-                )
-                samples_list.append(conditional_entropy(crosstab(fused, self.response)))
-        if len(samples_list) < 2:
+        base = self.fused(subset)
+        samples = [
+            conditional_entropy(
+                crosstab((base, *(self.covariates[f] for f in combo)), self.response)
+            )
+            for combo in itertools.combinations(noise, pad)
+        ]
+        synthetic = len(samples) < 2
+        if synthetic:
             rng = child_rng(cfg.seed, 91, target_order, _subset_tag(subset))
             n_bins = self._bins_for_noise()
             for _ in range(cfg.pad_replicates):
-                cols = [
-                    synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad)
-                ]
-                fused = product_categories([self.fused(subset)] + cols)
-                samples_list.append(
-                    conditional_entropy(crosstab(fused, self.response))
-                )
-        return np.asarray(samples_list)
-
-    def padded_ce(self, subset: tuple, target_order: int) -> float:
-        return float(self.padded_ce_samples(subset, target_order).mean())
+                cols = [synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad)]
+                samples.append(conditional_entropy(crosstab((base, *cols), self.response)))
+        return np.asarray(samples), synthetic
 
 
 def _subset_tag(subset: tuple) -> int:
@@ -295,23 +317,18 @@ def sce_star_drop(
     if added_feature not in subset:
         raise ValueError("added_feature must belong to the subset")
     rest = tuple(f for f in subset if f != added_feature)
-    if not rest:
-        ref = evaluator.reference_band(1).mean
-        return ref - evaluator.ce(subset), not bool(evaluator.config.noise_features)
-    padded = evaluator.padded_ce(rest, len(subset))
-    noise = [f for f in evaluator.config.noise_features if f in evaluator.covariates]
-    synthetic = len(noise) < 1
-    return padded - evaluator.ce(subset), synthetic
+    k = len(subset)
+    level = evaluator.padded_ce(rest, k) if rest else evaluator.reference_band(k).mean
+    return level - evaluator.ce(subset), evaluator.drew_synthetic(rest, k)
 
 
-def classify_subset(
-    evaluator: SubsetEvaluator, subset: tuple, config: ProtocolConfig
-) -> PairAnalysis:
+def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
     """Interaction / ecological / non-coexistence call at matched dimension.
 
     ``joint_drop`` and the per-feature ``part_drops`` are all measured
     against the size-k noise reference, so the comparison is scale-free.
     """
+    config = evaluator.config
     k = len(subset)
     ref = evaluator.reference_band(k)
     margin = config.candidate_margin
@@ -363,9 +380,8 @@ def classify_subset(
     )
 
 
-def _ledger_entry(
-    evaluator: SubsetEvaluator, subset: tuple, config: ProtocolConfig
-) -> SubsetLedgerEntry:
+def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntry:
+    config = evaluator.config
     k = len(subset)
     cardinality_product = 1
     for f in subset:
@@ -402,13 +418,7 @@ def _ledger_entry(
     sce_star = None
     synthetic = False
     if reliable:
-        band = null_band(
-            table,
-            "mutual_information",
-            config.replicates,
-            child_rng(config.seed, 1, _subset_tag(subset)),
-        )
-        c1 = c1_test(mutual_information(table), band)
+        c1 = evaluator.mi_verdict(subset)
         if k >= 2:
             # effect of the weakest member at the subset's own dimension
             weakest = max(
@@ -431,27 +441,23 @@ def _ledger_entry(
     )
 
 
-def build_ledger(
-    covariates: dict,
-    response: CategoricalSeries,
-    max_order: int,
-    config: ProtocolConfig | None = None,
-) -> list[SubsetLedgerEntry]:
-    """Evaluate every subset up to ``max_order``; sorted by CE within each order.
+def _map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, spread over ``threads`` worker threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def build_ledger(evaluator: SubsetEvaluator) -> list[SubsetLedgerEntry]:
+    """Evaluate every subset up to ``config.max_order``; sorted by CE within each order.
 
     Subsets whose estimated table size exceeds the cell budget are listed
     but marked unreliable rather than evaluated.
     """
-    config = config or ProtocolConfig(max_order=max_order)
-    evaluator = SubsetEvaluator(covariates, response, config)
-    subsets = enumerate_subsets(sorted(covariates), max_order)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            entries = list(
-                pool.map(lambda s: _ledger_entry(evaluator, s, config), subsets)
-            )
-    else:
-        entries = [_ledger_entry(evaluator, s, config) for s in subsets]
+    config = evaluator.config
+    subsets = enumerate_subsets(sorted(evaluator.covariates), config.max_order)
+    entries = _map(lambda s: _ledger_entry(evaluator, s), subsets, config.threads)
     entries.sort(key=lambda e: (e.order, e.ce if np.isfinite(e.ce) else np.inf))
     return entries
 
@@ -490,11 +496,7 @@ def _maximal_coexistent_sets(candidates, conflicts) -> list[tuple]:
     return sets
 
 
-def select_major_factors(
-    covariates: dict,
-    response: CategoricalSeries,
-    config: ProtocolConfig | None = None,
-) -> MajorFactorReport:
+def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     """Assemble the major-factor report from singleton gates and pair analyses.
 
     Order-1 candidates must clear the confirmability test and sit below the
@@ -503,50 +505,39 @@ def select_major_factors(
     a chief collection (largest total drop) and alternative collections,
     the latter augmented with dependence-linked partners.
     """
-    config = config or ProtocolConfig()
-    evaluator = SubsetEvaluator(covariates, response, config)
+    config = evaluator.config
     noise = set(config.noise_features)
-    features = [f for f in sorted(covariates) if f not in noise]
+    features = [f for f in sorted(evaluator.covariates) if f not in noise]
+    pairs = list(itertools.combinations(features, 2)) if config.max_order >= 2 else []
+    verdicts = _map(lambda f: evaluator.mi_verdict((f,)), features, config.threads)
+    pair_analyses = _map(lambda p: classify_subset(evaluator, p), pairs, config.threads)
     ref1 = evaluator.reference_band(1)
     margin = config.candidate_margin
 
     candidates = []
     excluded = []
     drops = {}
-    for f in features:
-        table = evaluator.table((f,))
+    for f, verdict in zip(features, verdicts):
         ce = evaluator.ce((f,))
         drops[f] = ref1.mean - ce
-        band = null_band(
-            table,
-            "mutual_information",
-            config.replicates,
-            child_rng(config.seed, 1, _subset_tag((f,))),
-        )
-        verdict = c1_test(mutual_information(table), band)
         if verdict.status == "confirmed" and ce < ref1.q025 - margin:
             candidates.append(f)
         else:
             excluded.append(((f,), "not confirmed as order-1"))
 
-    pair_analyses = []
     conflicts = set()
     links: dict = {}
     interactions = []
-    if config.max_order >= 2:
-        for pair in itertools.combinations(features, 2):
-            analysis = classify_subset(evaluator, pair, config)
-            pair_analyses.append(analysis)
-            a, b = pair
-            if analysis.classification == INTERACTION:
-                interactions.append(pair)
-            elif analysis.classification == NON_COEXISTENT:
-                if a in candidates and b in candidates:
-                    conflicts.add(frozenset(pair))
-            elif analysis.classification == DEPENDENCE_LINK:
-                for member, partner in ((a, b), (b, a)):
-                    if member in candidates and partner not in candidates:
-                        links.setdefault(member, set()).add(partner)
+    for (a, b), analysis in zip(pairs, pair_analyses):
+        if analysis.classification == INTERACTION:
+            interactions.append((a, b))
+        elif analysis.classification == NON_COEXISTENT:
+            if a in candidates and b in candidates:
+                conflicts.add(frozenset((a, b)))
+        elif analysis.classification == DEPENDENCE_LINK:
+            for member, partner in ((a, b), (b, a)):
+                if member in candidates and partner not in candidates:
+                    links.setdefault(member, set()).add(partner)
 
     coexistent = _maximal_coexistent_sets(candidates, conflicts)
     if coexistent:
@@ -567,6 +558,9 @@ def select_major_factors(
     confirmed = [((f,), 1, "order-1 major factor") for f in sorted(chief, key=str)]
     for pair in interactions:
         confirmed.append((pair, 2, "order-2 major factor (interaction)"))
+    reference_levels = {1: ref1.mean}
+    if config.max_order >= 2:
+        reference_levels[2] = evaluator.reference_band(2).mean
 
     return MajorFactorReport(
         confirmed=confirmed,
@@ -574,7 +568,7 @@ def select_major_factors(
         alternative_collections=alternatives,
         pair_analyses=pair_analyses,
         excluded=excluded,
-        reference_levels={1: ref1.mean, **({2: evaluator.reference_band(2).mean} if config.max_order >= 2 else {})},
+        reference_levels=reference_levels,
     )
 
 
@@ -631,7 +625,4 @@ def mi_grid(
         )
 
     pairs = [(ky, kx) for ky in y_bins_ladder for kx in x_bins_ladder]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(cell, pairs))
-    return [cell(p) for p in pairs]
+    return _map(cell, pairs, threads)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import ceda.nullsim
 import ceda.protocol
 from ceda.categorize import apply_bins, quantile_bins
 from ceda.genlab import GeneratorSpec, sample
@@ -48,7 +49,11 @@ def table_from_counts(counts):
 
 
 def count_fusion_calls(monkeypatch) -> Counter:
-    """Count the evaluator's crosstab and product_categories calls, thread-safely."""
+    """Count the evaluator's crosstab and product_categories calls, thread-safely.
+
+    ``crosstab`` counts the calls from ``ceda.protocol`` and from
+    ``ceda.nullsim`` (the synthetic noise reference band) together.
+    """
     calls = Counter()
     lock = threading.Lock()
 
@@ -60,6 +65,10 @@ def count_fusion_calls(monkeypatch) -> Counter:
 
         return wrapper
 
-    for name in ("crosstab", "product_categories"):
-        monkeypatch.setattr(ceda.protocol, name, counting(name, getattr(ceda.protocol, name)))
+    for module, name in (
+        (ceda.protocol, "crosstab"),
+        (ceda.nullsim, "crosstab"),
+        (ceda.protocol, "product_categories"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls

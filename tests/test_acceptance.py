@@ -180,7 +180,8 @@ def test_06_additive_sine_selection():
         data = sample(GeneratorSpec("ex4", 10_000, seed=seed))
         y = binned(data["Y"], 10)
         cov = {f: binned(data[f], 10) for f in ("X1", "X2", "X3", "X4")}
-        report = select_major_factors(cov, y, ProtocolConfig(max_order=2, seed=seed))
+        cfg = ProtocolConfig(max_order=2, seed=seed)
+        report = select_major_factors(SubsetEvaluator(cov, y, cfg))
         if report.confirmed == [
             (("X1",), 1, "order-1 major factor"),
             (("X2", "X3"), 2, "order-2 major factor (interaction)"),
@@ -218,7 +219,7 @@ def test_07_fused_route_escapes_dimension_curse():
     y = binned(data["Y"], 10)
     cov = {f"X{i}": binned(data[f"X{i}"], 10) for i in range(1, 5)}
     ledger = build_ledger(
-        cov, y, 3, ProtocolConfig(max_order=3, seed=seed, replicates=300)
+        SubsetEvaluator(cov, y, ProtocolConfig(max_order=3, seed=seed, replicates=300))
     )
     triplets = [e for e in ledger if e.order == 3]
     direct_unreliable = bool(triplets) and all(not e.reliable for e in triplets)
@@ -257,7 +258,7 @@ def test_08_dependent_covariate_structure():
     noise_tier = [singles[f] for f in ("X7", "X8", "X9", "X10")]
     ordering = singles["X6"] < min(core) and max(core) < min(noise_tier)
 
-    report = select_major_factors(cov, y, cfg)
+    report = select_major_factors(ev)
     classes = {p.pair: p.classification for p in report.pair_analyses}
     pair_ok = (
         classes[("X1", "X2")] == "ecological"

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ceda.protocol
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import fuse_features, quantile_bins, apply_bins
 from ceda.genlab import GeneratorSpec, sample
@@ -143,6 +144,47 @@ class TestExitCodes:
         code, _, _ = run(capsys, "measure", "--input", ex1_csv, "--config", str(bad))
         assert code == 3
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_in_measure_is_exit_2(self, capsys, tmp_path, token):
+        path = tmp_path / "d.csv"
+        path.write_text(f"Y,X\n1,2\n3,{token}\n5,6\n7,8\n")
+        code, out, err = run(
+            capsys, "measure", "--input", str(path), "--response", "Y",
+            "--covariates", "X", "--categorize", "Y=kmeans:2,X=kmeans:2",
+        )
+        assert code == 2
+        assert err.startswith("data error:") and "row 2, column 'X'" in err
+        assert out == ""
+
+    def test_non_finite_value_in_grid_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("Y,X\n1,2\n3,4\nnan,6\n7,8\n")
+        code, out, err = run(
+            capsys, "grid", "--input", str(path), "--response", "Y",
+            "--covariates", "X", "--y-ladder", "2", "--x-ladder", "2",
+        )
+        assert code == 2
+        assert err.startswith("data error:") and "row 3, column 'Y'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "roles, column",
+        [
+            (("--response", "Y", "--categorize", "Y=kmeans:2,X=kmeans:9"), "'X'"),
+            (("--response", "Y,Z", "--categorize", "Y=kmeans:9,X=kmeans:2"), "'Y,Z'"),
+        ],
+        ids=["covariate", "fused-response"],
+    )
+    def test_kmeans_k_above_row_count_is_exit_3(self, capsys, tmp_path, roles, column):
+        path = tmp_path / "d.csv"
+        path.write_text("Y,Z,X\n1,2,3\n4,5,7\n7,9,8\n10,11,15\n")
+        code, out, err = run(
+            capsys, "measure", "--input", str(path), "--covariates", "X", *roles,
+        )
+        assert code == 3
+        assert err.startswith(f"config error: column {column}: kmeans:9")
+        assert out == ""
+
 
 class TestSimulateRoundTrip:
     def test_csv_round_trips_bitwise_into_pipeline(self, ex1_csv):
@@ -238,6 +280,29 @@ class TestBinsCommand:
         expected = apply_bins(data["Y"], quantile_bins(data["Y"], 10)).labels
         assert labels == expected.tolist()
 
+    def test_replay_of_a_column_the_csv_lacks_is_exit_2(self, capsys, tmp_path, ex1_csv):
+        replay_path = tmp_path / "z.json"
+        scheme = quantile_bins(np.arange(50.0), 10).to_json()
+        replay_path.write_text(json.dumps({"Z": json.loads(scheme)}))
+        code, out, err = run(capsys, "bins", "--input", ex1_csv, "--replay", str(replay_path))
+        assert code == 2
+        assert err.startswith("data error:") and "'Z'" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]", "{}", '{"Y": {"edges": [0, 1]}}'],
+        ids=["missing", "not-json", "not-an-object", "no-schemes", "bad-scheme"],
+    )
+    def test_unusable_replay_file_is_exit_3(self, capsys, tmp_path, ex1_csv, content):
+        replay_path = tmp_path / "schemes.json"
+        if content is not None:
+            replay_path.write_text(content)
+        code, out, err = run(capsys, "bins", "--input", ex1_csv, "--replay", str(replay_path))
+        assert code == 3
+        assert err.startswith("config error:") and "replay file" in err
+        assert out == ""
+
 
 class TestGridCommand:
     def test_small_grid(self, capsys, tmp_path):
@@ -277,6 +342,15 @@ class TestGridCommand:
         assert err.startswith("config error: ladder values")
 
 
+@pytest.fixture(scope="module")
+def ex4_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "ex4.csv"
+    assert main(
+        ["simulate", "--example", "ex4", "--n", "2000", "--seed", "1", "--out", str(path)]
+    ) == 0
+    return str(path)
+
+
 class TestSelectCommand:
     def test_names_the_planted_factors(self, capsys, tmp_path):
         path = tmp_path / "ex4.csv"
@@ -295,18 +369,13 @@ class TestSelectCommand:
         assert payload["config_digest"]
         assert "ledger_tsv" in payload
 
-    def test_thread_count_changes_neither_work_nor_report(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "ex4.csv"
-        assert main(
-            ["simulate", "--example", "ex4", "--n", "2000", "--seed", "1",
-             "--out", str(path)]
-        ) == 0
+    def test_thread_count_changes_neither_work_nor_report(self, capsys, ex4_csv, monkeypatch):
         calls = count_fusion_calls(monkeypatch)
         seen = []
         for threads in ("1", "2"):
             calls.clear()
             code, out, _ = run(
-                capsys, "select", "--input", str(path), "--response", "Y",
+                capsys, "select", "--input", ex4_csv, "--response", "Y",
                 "--covariates", "X1,X2,X3,X4", "--seed", "1", "--replicates", "50",
                 "--threads", threads, "--format", "json",
             )
@@ -314,3 +383,24 @@ class TestSelectCommand:
             seen.append((dict(calls), out))
         assert seen[0][0]["crosstab"] > 0 and seen[0][0]["product_categories"] > 0
         assert seen[1] == seen[0]
+
+    def test_each_mi_null_band_is_computed_once(self, capsys, ex4_csv, monkeypatch):
+        calls = []
+        original = ceda.protocol.null_band
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ceda.protocol, "null_band", counting)
+        code, out, _ = run(
+            capsys, "select", "--input", ex4_csv, "--response", "Y",
+            "--covariates", "X1,X2,X3,X4", "--seed", "1", "--replicates", "50",
+            "--format", "json",
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in json.loads(out)["ledger_tsv"].splitlines()[1:]]
+        reliable = [row for row in rows if row[-1] not in ("", "unreliable")]
+        # the ledger's verdicts cover every singleton, so selection adds none
+        assert {row[0] for row in reliable} == {"1", "2"}
+        assert len(calls) == len(reliable)

@@ -31,6 +31,10 @@ def additive_sine_setup():
     return cov, y
 
 
+def ledger_of(cov, y, **settings):
+    return build_ledger(SubsetEvaluator(cov, y, ProtocolConfig(**settings)))
+
+
 @pytest.fixture(scope="module")
 def additive_sine_evaluator(additive_sine_setup):
     cov, y = additive_sine_setup
@@ -61,14 +65,14 @@ class TestEnumerateSubsets:
 class TestBuildLedger:
     def test_singleton_conditional_entropy_level(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ledger = build_ledger(cov, y, 1, ProtocolConfig(max_order=1, seed=1, replicates=300))
+        ledger = ledger_of(cov, y, max_order=1, seed=1, replicates=300)
         by_subset = {e.subset: e for e in ledger}
         assert by_subset[("X1",)].ce == pytest.approx(2.2315, abs=0.02)
         assert by_subset[("X1",)].ce_drop == pytest.approx(0.2322, abs=0.03)
 
     def test_pair_successive_drop_dominates_parts(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ledger = build_ledger(cov, y, 2, ProtocolConfig(max_order=2, seed=1, replicates=300))
+        ledger = ledger_of(cov, y, max_order=2, seed=1, replicates=300)
         by_subset = {e.subset: e for e in ledger}
         pair = by_subset[("X2", "X3")]
         assert pair.sce_drop == pytest.approx(0.7781, abs=0.05)
@@ -77,20 +81,20 @@ class TestBuildLedger:
 
     def test_singleton_sce_equals_ce_drop(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ledger = build_ledger(cov, y, 1, ProtocolConfig(max_order=1, seed=1, replicates=300))
+        ledger = ledger_of(cov, y, max_order=1, seed=1, replicates=300)
         for e in ledger:
             assert e.sce_drop == e.ce_drop
 
     def test_sorted_by_ce_within_order(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ledger = build_ledger(cov, y, 2, ProtocolConfig(max_order=2, seed=1, replicates=200))
+        ledger = ledger_of(cov, y, max_order=2, seed=1, replicates=200)
         for order in (1, 2):
             ces = [e.ce for e in ledger if e.order == order and np.isfinite(e.ce)]
             assert ces == sorted(ces)
 
     def test_pair_sce_drop_non_negative(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ledger = build_ledger(cov, y, 2, ProtocolConfig(max_order=2, seed=1, replicates=200))
+        ledger = ledger_of(cov, y, max_order=2, seed=1, replicates=200)
         for e in ledger:
             if e.order >= 2:
                 assert e.sce_drop >= -1e-12
@@ -98,31 +102,31 @@ class TestBuildLedger:
     def test_independent_of_feature_enumeration_order(self, additive_sine_setup):
         cov, y = additive_sine_setup
         cfg = ProtocolConfig(max_order=2, seed=1, replicates=200)
-        forward = build_ledger(dict(cov), y, 2, cfg)
+        forward = build_ledger(SubsetEvaluator(dict(cov), y, cfg))
         reversed_cov = dict(reversed(list(cov.items())))
-        backward = build_ledger(reversed_cov, y, 2, cfg)
+        backward = build_ledger(SubsetEvaluator(reversed_cov, y, cfg))
         assert [e.subset for e in forward] == [e.subset for e in backward]
         assert [e.ce for e in forward] == [e.ce for e in backward]
 
     def test_cell_budget_marks_subset_unreliable(self, additive_sine_setup):
         cov, y = additive_sine_setup
         cfg = ProtocolConfig(max_order=2, seed=1, replicates=200, cell_budget=500)
-        ledger = build_ledger(cov, y, 2, cfg)
+        ledger = build_ledger(SubsetEvaluator(cov, y, cfg))
         pairs = [e for e in ledger if e.order == 2]
         assert pairs and all(not e.reliable for e in pairs)
         assert all(np.isnan(e.ce) for e in pairs)
 
     def test_thread_count_does_not_change_results(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        one = build_ledger(cov, y, 2, ProtocolConfig(max_order=2, seed=1, replicates=200, threads=1))
-        four = build_ledger(cov, y, 2, ProtocolConfig(max_order=2, seed=1, replicates=200, threads=4))
+        one = ledger_of(cov, y, max_order=2, seed=1, replicates=200, threads=1)
+        four = ledger_of(cov, y, max_order=2, seed=1, replicates=200, threads=4)
         assert [(e.subset, e.ce, e.ce_drop) for e in one] == [
             (e.subset, e.ce, e.ce_drop) for e in four
         ]
 
     def test_tsv_layout(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ledger = build_ledger(cov, y, 1, ProtocolConfig(max_order=1, seed=1, replicates=200))
+        ledger = ledger_of(cov, y, max_order=1, seed=1, replicates=200)
         text = ledger_to_tsv(ledger)
         header = text.splitlines()[0].split("\t")
         assert header == [
@@ -144,6 +148,23 @@ class TestSceStarDrop:
         drop, _ = sce_star_drop(ev, ("X1", "X4"), "X1")
         assert drop > 2 * abs(benchmark)
 
+    def test_flag_reports_synthetic_noise_next_to_one_designated_feature(
+        self, additive_sine_setup
+    ):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X4",)))
+        # padding X1 to dimension 2 finds one designated sample and tops it up
+        # with synthetic ones; the order-1 reference needs two designated features
+        assert sce_star_drop(ev, ("X1", "X2"), "X2")[1]
+        assert sce_star_drop(ev, ("X1",), "X1")[1]
+        assert len(ev.padded_ce_samples(("X1",), 2)) == 1 + ev.config.pad_replicates
+
+    def test_flag_is_false_when_designated_noise_suffices(self, additive_sine_setup):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X3", "X4")))
+        assert not sce_star_drop(ev, ("X1", "X2"), "X2")[1]
+        assert not sce_star_drop(ev, ("X1",), "X1")[1]
+
     def test_feature_must_belong_to_subset(self, additive_sine_evaluator):
         with pytest.raises(ValueError):
             sce_star_drop(additive_sine_evaluator, ("X1", "X2"), "X3")
@@ -151,8 +172,7 @@ class TestSceStarDrop:
 
 class TestClassifySubset:
     def test_hidden_pair_classified_as_interaction(self, additive_sine_evaluator):
-        cfg = ProtocolConfig(max_order=2, seed=1)
-        analysis = classify_subset(additive_sine_evaluator, ("X2", "X3"), cfg)
+        analysis = classify_subset(additive_sine_evaluator, ("X2", "X3"))
         assert analysis.classification == "interaction"
         assert analysis.ratio > 10
 
@@ -162,14 +182,13 @@ class TestClassifySubset:
         cov = {f: binned(data[f], 10) for f in ("X1", "X2")}
         cfg = ProtocolConfig(max_order=2, seed=2, replicates=100)
         ev = SubsetEvaluator(cov, y, cfg)
-        analysis = classify_subset(ev, ("X1", "X2"), cfg)
+        analysis = classify_subset(ev, ("X1", "X2"))
         assert analysis.classification == "undetermined (dimension)"
 
 
 class TestSelectMajorFactors:
-    def test_additive_sine_study_selection(self, additive_sine_setup):
-        cov, y = additive_sine_setup
-        report = select_major_factors(cov, y, ProtocolConfig(max_order=2, seed=1))
+    def test_additive_sine_study_selection(self, additive_sine_evaluator):
+        report = select_major_factors(additive_sine_evaluator)
         assert report.confirmed == [
             (("X1",), 1, "order-1 major factor"),
             (("X2", "X3"), 2, "order-2 major factor (interaction)"),
@@ -178,12 +197,22 @@ class TestSelectMajorFactors:
         excluded = {s for s, _ in report.excluded}
         assert ("X4",) in excluded
 
+    def test_thread_count_does_not_change_report(self, additive_sine_setup):
+        cov, y = additive_sine_setup
+        one, four = (
+            select_major_factors(
+                SubsetEvaluator(cov, y, ProtocolConfig(seed=1, replicates=200, threads=t))
+            )
+            for t in (1, 4)
+        )
+        assert one == four
+
     def test_all_noise_covariates_give_empty_report(self):
         rng = np.random.default_rng(21)
         n = 5000
         y = binned(rng.standard_normal(n), 10)
         cov = {f"Z{i}": binned(rng.random(n), 10) for i in range(3)}
-        report = select_major_factors(cov, y, ProtocolConfig(max_order=2, seed=3))
+        report = select_major_factors(SubsetEvaluator(cov, y, ProtocolConfig(seed=3)))
         assert report.confirmed == []
         assert report.chief_collection == ()
 
@@ -194,7 +223,7 @@ class TestSelectMajorFactors:
         cfg = ProtocolConfig(
             max_order=2, seed=1, noise_features=("X7", "X8", "X9", "X10")
         )
-        report = select_major_factors(cov, y, cfg)
+        report = select_major_factors(SubsetEvaluator(cov, y, cfg))
         assert report.chief_collection == ("X1", "X2", "X3")
         assert ("X4", "X5", "X6") in report.alternative_collections
         classes = {p.pair: p.classification for p in report.pair_analyses}
