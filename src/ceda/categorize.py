@@ -113,11 +113,6 @@ class KMeansModel:
     def to_json(self) -> str:
         return json.dumps({"centroids": self.centroids.tolist(), "seed": self.seed})
 
-    def predict(self, points) -> CategoricalSeries:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        labels = _nearest(points, self.centroids)[0]
-        return CategoricalSeries(labels=labels, cardinality=self.centroids.shape[0])
-
 
 def _nearest(points: np.ndarray, centroids: np.ndarray):
     """Nearest-centroid labels and squared distances; ties go to the lowest index."""
@@ -154,7 +149,6 @@ def kmeans_fit(
     seed: int | None = 0,
     max_iter: int = 300,
     rel_tol: float = 1e-6,
-    standardize: bool = False,
 ) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ start.
 
@@ -169,29 +163,24 @@ def kmeans_fit(
         raise ValueError("non-finite coordinates")
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= number of points")
-    work = points
-    if standardize:
-        sd = points.std(axis=0)
-        sd[sd == 0] = 1.0
-        work = (points - points.mean(axis=0)) / sd
 
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(work, k, rng)
-    labels, d2 = _nearest(work, centroids)
+    centroids = _kmeans_pp_init(points, k, rng)
+    labels, d2 = _nearest(points, centroids)
     inertia = float(d2.sum())
     iterations = 0
     for iterations in range(1, max_iter + 1):
         sums = np.zeros((k, d))
-        np.add.at(sums, labels, work)
+        np.add.at(sums, labels, points)
         sizes = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         nonempty = sizes > 0
         centroids[nonempty] = sums[nonempty] / sizes[nonempty, None]
         for j in empty:
             far = int(np.argmax(d2))
-            centroids[j] = work[far]
+            centroids[j] = points[far]
             d2[far] = 0.0
-        labels, d2 = _nearest(work, centroids)
+        labels, d2 = _nearest(points, centroids)
         new_inertia = float(d2.sum())
         if inertia > 0 and (inertia - new_inertia) / inertia < rel_tol:
             inertia = new_inertia
@@ -211,7 +200,6 @@ def fuse_features(
     matrix,
     k: int,
     seed: int | None = 0,
-    standardize: bool = False,
     sort_centroids: bool = False,
 ) -> CategoricalSeries:
     """Fuse a multi-D feature block into one categorical variable via K-means.
@@ -219,7 +207,7 @@ def fuse_features(
     With ``sort_centroids`` labels are reindexed by the centroids' first
     coordinate, so 1-D clusterings come out order-preserving.
     """
-    model = kmeans_fit(matrix, k, seed=seed, standardize=standardize)
+    model = kmeans_fit(matrix, k, seed=seed)
     labels = model.assignments.labels
     if sort_centroids:
         order = np.argsort(model.centroids[:, 0], kind="stable")

@@ -153,29 +153,21 @@ def build_run_config(args) -> RunConfig:
             return flag_value
         return file_cfg.get(name, default)
 
+    def names(name, flag_value):
+        """A column list, given as comma-separated text or as a JSON list."""
+        value = pick(name, flag_value, "")
+        if isinstance(value, str):
+            return tuple(c for c in value.split(",") if c)
+        return tuple(value)
+
     categorize = dict(
         (k, tuple(v)) for k, v in file_cfg.get("categorize", {}).items()
     )
     categorize.update(_parse_categorize(getattr(args, "categorize", None)))
-    response = pick("response", getattr(args, "response", None), "")
-    covariates = pick("covariates", getattr(args, "covariates", None), "")
-    if isinstance(response, str):
-        response = tuple(c for c in response.split(",") if c)
-    else:
-        response = tuple(response)
-    if isinstance(covariates, str):
-        covariates = tuple(c for c in covariates.split(",") if c)
-    else:
-        covariates = tuple(covariates)
-    noise = pick("noise_features", getattr(args, "noise", None), "")
-    if isinstance(noise, str):
-        noise = tuple(c for c in noise.split(",") if c)
-    else:
-        noise = tuple(noise)
     config = RunConfig(
         input_path=pick("input", getattr(args, "input", None), None),
-        response=response,
-        covariates=covariates,
+        response=names("response", getattr(args, "response", None)),
+        covariates=names("covariates", getattr(args, "covariates", None)),
         categorize=categorize,
         max_order=int(pick("max_order", getattr(args, "max_order", None), 2)),
         replicates=int(pick("replicates", getattr(args, "replicates", None), 1000)),
@@ -183,7 +175,7 @@ def build_run_config(args) -> RunConfig:
         threads=int(pick("threads", getattr(args, "threads", None), 1)),
         r_int=float(pick("r_int", getattr(args, "r_int", None), 3.0)),
         cell_floor=float(pick("cell_floor", getattr(args, "cell_floor", None), 1.0)),
-        noise_features=noise,
+        noise_features=names("noise_features", getattr(args, "noise", None)),
         out_format=pick("format", getattr(args, "format", None), "tsv"),
     )
     max_order_given = getattr(args, "max_order", None) is not None or "max_order" in file_cfg
@@ -332,6 +324,19 @@ def _provenance(config: RunConfig) -> dict:
     return {"config_digest": config.digest(), "seed": config.seed}
 
 
+def _write_report(config: RunConfig, out_path: str | None, fields: dict, tsv_lines: list):
+    """Write a report in the configured format, headed by the run's provenance.
+
+    JSON is the provenance object extended by ``fields``; TSV is a
+    ``# config DIGEST seed SEED`` comment line followed by ``tsv_lines``.
+    """
+    if config.out_format == "json":
+        text = json.dumps({**_provenance(config), **fields}, indent=2)
+    else:
+        text = "\n".join([f"# config {config.digest()} seed {config.seed}", *tsv_lines])
+    _emit(text + "\n", out_path)
+
+
 def _log(msg: str):
     print(msg, file=sys.stderr)
 
@@ -404,22 +409,19 @@ def cmd_measure(args) -> int:
     for subset in subsets:
         table = crosstab(tuple(covs[c] for c in subset), response)
         reports.append((subset, entropy_report(table)))
-    if config.out_format == "json":
-        payload = dict(_provenance(config))
-        payload["reports"] = [
+    fields = {
+        "reports": [
             {"subset": list(s), **json.loads(r.to_json(total=len(response)))}
             for s, r in reports
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"# config {config.digest()} seed {config.seed}"]
-        lines.append("subset\trows\tcols\th_y\th_y_given_a\tmi")
-        for s, r in reports:
-            lines.append(
-                f"{'+'.join(s)}\t{r.rows}\t{r.cols}\t{r.h_y:.6f}\t"
-                f"{r.h_y_given_a:.6f}\t{r.mutual_info:.6f}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    }
+    lines = ["subset\trows\tcols\th_y\th_y_given_a\tmi"]
+    for s, r in reports:
+        lines.append(
+            f"{'+'.join(s)}\t{r.rows}\t{r.cols}\t{r.h_y:.6f}\t"
+            f"{r.h_y_given_a:.6f}\t{r.mutual_info:.6f}"
+        )
+    _write_report(config, args.out, fields, lines)
     return 0
 
 
@@ -439,9 +441,8 @@ def cmd_null(args) -> int:
         verdict = c1_test(mutual_information(table), band)
         rows.append((subset, verdict))
         _log(f"null {'+'.join(subset)}: {verdict.status}")
-    if config.out_format == "json":
-        payload = dict(_provenance(config))
-        payload["verdicts"] = [
+    fields = {
+        "verdicts": [
             {
                 "subset": list(s),
                 "observed": v.observed,
@@ -451,17 +452,15 @@ def cmd_null(args) -> int:
             }
             for s, v in rows
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"# config {config.digest()} seed {config.seed}"]
-        lines.append("subset\tobserved\tmean\tsd\tq025\tq975\tstatus\texcess_sd")
-        for s, v in rows:
-            b = v.band
-            lines.append(
-                f"{'+'.join(s)}\t{v.observed:.6f}\t{b.mean:.6f}\t{b.sd:.6f}\t"
-                f"{b.q025:.6f}\t{b.q975:.6f}\t{v.status}\t{v.excess_sd:.3f}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    }
+    lines = ["subset\tobserved\tmean\tsd\tq025\tq975\tstatus\texcess_sd"]
+    for s, v in rows:
+        b = v.band
+        lines.append(
+            f"{'+'.join(s)}\t{v.observed:.6f}\t{b.mean:.6f}\t{b.sd:.6f}\t"
+            f"{b.q025:.6f}\t{b.q975:.6f}\t{v.status}\t{v.excess_sd:.3f}"
+        )
+    _write_report(config, args.out, fields, lines)
     return 0
 
 
@@ -490,9 +489,8 @@ def cmd_grid(args) -> int:
         seed=config.seed,
         threads=config.threads,
     )
-    if config.out_format == "json":
-        payload = dict(_provenance(config))
-        payload["cells"] = [
+    fields = {
+        "cells": [
             {
                 "y_bins": c.y_bins,
                 "x_bins": c.x_bins,
@@ -502,16 +500,14 @@ def cmd_grid(args) -> int:
             }
             for c in cells
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"# config {config.digest()} seed {config.seed}"]
-        lines.append("y_bins\tx_bins\tmi\tq025\tq975\tstatus")
-        for c in cells:
-            lines.append(
-                f"{c.y_bins}\t{c.x_bins}\t{c.report.mutual_info:.6f}\t"
-                f"{c.band.q025:.6f}\t{c.band.q975:.6f}\t{c.verdict.status}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+    }
+    lines = ["y_bins\tx_bins\tmi\tq025\tq975\tstatus"]
+    for c in cells:
+        lines.append(
+            f"{c.y_bins}\t{c.x_bins}\t{c.report.mutual_info:.6f}\t"
+            f"{c.band.q025:.6f}\t{c.band.q975:.6f}\t{c.verdict.status}"
+        )
+    _write_report(config, args.out, fields, lines)
     return 0
 
 
@@ -535,38 +531,32 @@ def cmd_select(args) -> int:
     evaluator = SubsetEvaluator(covs, response, pcfg)
     ledger = build_ledger(evaluator)
     report = select_major_factors(evaluator)
-    payload = dict(_provenance(config))
-    payload["chief"] = list(report.chief_collection)
-    payload["alternatives"] = [list(s) for s in report.alternative_collections]
-    payload["interactions"] = [
-        list(s) for s, order, _ in report.confirmed if order >= 2
-    ]
-    payload["confirmed"] = [
-        {"subset": list(s), "order": order, "label": label}
-        for s, order, label in report.confirmed
-    ]
-    payload["pairs"] = [
-        {
-            "pair": list(p.pair),
-            "classification": p.classification,
-            "ratio": None if not np.isfinite(p.ratio) else p.ratio,
-            "excess": None if not np.isfinite(p.excess) else p.excess,
-        }
-        for p in report.pair_analyses
-    ]
-    if config.out_format == "json":
-        payload["ledger_tsv"] = ledger_to_tsv(ledger)
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"# config {config.digest()} seed {config.seed}"]
-        lines.append(ledger_to_tsv(ledger).rstrip("\n"))
-        lines.append("")
-        lines.append(f"chief\t{' '.join(payload['chief']) or '-'}")
-        for alt in payload["alternatives"]:
-            lines.append(f"alternative\t{' '.join(alt)}")
-        for item in payload["confirmed"]:
-            lines.append(f"confirmed\t{'+'.join(item['subset'])}\t{item['label']}")
-        _emit("\n".join(lines) + "\n", args.out)
+    ledger_tsv = ledger_to_tsv(ledger)
+    fields = {
+        "chief": list(report.chief_collection),
+        "alternatives": [list(s) for s in report.alternative_collections],
+        "interactions": [list(s) for s, order, _ in report.confirmed if order >= 2],
+        "confirmed": [
+            {"subset": list(s), "order": order, "label": label}
+            for s, order, label in report.confirmed
+        ],
+        "pairs": [
+            {
+                "pair": list(p.pair),
+                "classification": p.classification,
+                "ratio": None if not np.isfinite(p.ratio) else p.ratio,
+                "excess": None if not np.isfinite(p.excess) else p.excess,
+            }
+            for p in report.pair_analyses
+        ],
+        "ledger_tsv": ledger_tsv,
+    }
+    lines = [ledger_tsv.rstrip("\n"), "", f"chief\t{' '.join(fields['chief']) or '-'}"]
+    for alt in fields["alternatives"]:
+        lines.append(f"alternative\t{' '.join(alt)}")
+    for s, _, label in report.confirmed:
+        lines.append(f"confirmed\t{'+'.join(s)}\t{label}")
+    _write_report(config, args.out, fields, lines)
     return 0
 
 

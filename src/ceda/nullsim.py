@@ -21,9 +21,7 @@ from ceda.tabulate import (
     CategoricalSeries,
     ContingencyTable,
     column_margin_entropy,
-    conditional_entropy,
-    counts_entropy,
-    crosstab,
+    crosstab,  # noqa: F401  (unused; bench/test_bench.py expects the tracer to wrap it here)
     per_column_row_entropy,
 )
 from ceda.categorize import apply_bins, quantile_bins
@@ -37,7 +35,6 @@ __all__ = [
     "localize_differences",
     "mimic_ce_samples",
     "mimic_table",
-    "noise_reference_band",
     "null_band",
 ]
 
@@ -267,32 +264,3 @@ def synthetic_noise_series(
     values = rng.random(n)
     scheme = quantile_bins(values, max(n_bins - 2, 1))
     return apply_bins(values, scheme)
-
-
-def noise_reference_band(
-    response: CategoricalSeries,
-    subset_size: int,
-    n_bins: int,
-    n_replicates: int = 100,
-    rng: np.random.Generator | int | None = None,
-) -> NullBand:
-    """Distribution of H[Y | k synthetic independent features].
-
-    This is the dimension-matched reference level for CE drops: each
-    replicate bins ``subset_size`` fresh uniform features, fuses them and
-    measures the conditional entropy against the given response.
-    """
-    if subset_size < 0:
-        raise ValueError("subset_size must be >= 0")
-    if not isinstance(rng, np.random.Generator):
-        rng = child_rng(0 if rng is None else int(rng))
-    n = len(response)
-    if subset_size == 0:
-        h = counts_entropy(np.bincount(response.labels, minlength=response.cardinality))
-        return NullBand("conditional_entropy", 2, h, 0.0, h, h, None)
-    samples = np.empty(n_replicates)
-    for b in range(n_replicates):
-        series = tuple(synthetic_noise_series(n, n_bins, rng) for _ in range(subset_size))
-        samples[b] = conditional_entropy(crosstab(series, response))
-    return band_from_samples("conditional_entropy", samples)
-

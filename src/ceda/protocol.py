@@ -1,11 +1,15 @@
 """Covariate-subset ledgers and the major-factor selection protocol.
 
 Everything here follows one comparability rule: conditional entropies are
-only compared between tables of the same dimension.  The reference level
-for a size-k subset is the conditional entropy given k noise features
-(user-designated ones when available, otherwise synthetic uniforms binned
-with the same ladder), and per-feature effects inside a size-k subset are
-measured with noise padding up to the same dimension.
+only compared between tables of the same dimension.  A subset's noise level
+at order k is H[Y | subset + (k - |subset|) noise features]; the reference
+level for a size-k subset is the empty subset's noise level at order k, and
+per-feature effects inside a size-k subset are measured against the
+feature's noise level at the same order.  One rule gives every noise level:
+each combination of designated noise features outside the subset gives one
+sample, and with fewer than two such samples, synthetic uniform features
+binned with the covariates' ladder are drawn on top.  A level is
+``synthetic`` exactly when such features were drawn.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from ceda.nullsim import (
     band_from_samples,
     c1_test,
     child_rng,
-    noise_reference_band,
     null_band,
     synthetic_noise_series,
 )
@@ -62,14 +65,25 @@ NO_ADDED_EFFECT = "no_added_effect"
 UNDETERMINED = "undetermined"
 UNDETERMINED_DIMENSION = "undetermined (dimension)"
 
+# A pair whose joint drop is within ECO_LOW..ECO_HIGH times the sum of its
+# parts' drops, or within COEXIST_MARGIN of it, acts ecologically.
+ECO_LOW = 0.8
+ECO_HIGH = 1.5
+COEXIST_MARGIN = 0.05
+# A conditional entropy counts as below a reference band only when it is
+# below its 2.5% quantile by more than this margin.
+CANDIDATE_MARGIN = 0.01
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Thresholds and budgets for ledger building and factor selection.
 
-    The interaction ratio and the coexistence margin are deliberately
-    configurable: the underlying analyses argue with ratios ("more than 10
-    times", "5 times larger") rather than fixed constants.
+    The interaction ratio ``r_int`` is configurable because the underlying
+    analyses argue with ratios ("more than 10 times", "5 times larger")
+    rather than fixed constants; the ecological band and the margins are
+    the module constants ``ECO_LOW``/``ECO_HIGH``, ``COEXIST_MARGIN`` and
+    ``CANDIDATE_MARGIN``.
     """
 
     max_order: int = 2
@@ -78,10 +92,6 @@ class ProtocolConfig:
     pad_replicates: int = 30
     seed: int = 0
     r_int: float = 3.0
-    eco_low: float = 0.8
-    eco_high: float = 1.5
-    coexist_margin: float = 0.05
-    candidate_margin: float = 0.01
     cell_floor: float = 1.0
     cell_budget: int = 2_000_000
     noise_features: tuple = ()
@@ -150,8 +160,8 @@ class _OnceCache:
     A thread that finds an entry being computed waits for it instead of
     computing it again.  Each key has its own lock, so different keys are
     computed concurrently; an entry only ever waits on entries of a kind
-    further down the order padding/reference/verdict -> table -> fused, so
-    the locks cannot deadlock.  A computation that raises leaves its entry
+    further down the order noise/verdict -> table -> fused, so the locks
+    cannot deadlock.  A computation that raises leaves its entry
     empty.
     """
 
@@ -175,10 +185,9 @@ class _OnceCache:
 class SubsetEvaluator:
     """One run's categorized data, its config, and everything derived from them.
 
-    Fused series, tables, C1 verdicts, reference bands and padding samples
-    depend only on the data, the config and keyed seeds, so each is
-    computed once and memoised under ``(kind, key)``.  Safe to share
-    between threads.
+    Fused series, tables, C1 verdicts and noise levels depend only on the
+    data, the config and keyed seeds, so each is computed once and memoised
+    under ``(kind, key)``.  Safe to share between threads.
     """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
@@ -223,81 +232,59 @@ class SubsetEvaluator:
         return max(c.cardinality for c in self.covariates.values())
 
     def reference_band(self, k: int) -> NullBand:
-        """Band of H[Y | k noise features] at dimension k.
-
-        Designated noise features give the reference when at least k of them
-        exist (all k-combinations); otherwise synthetic uniforms are drawn.
-        """
-        return self._noise_level((), k)[0]
+        """Band of H[Y | k noise features]: the empty subset's noise level."""
+        return self._noise_level((), k)[1]
 
     def padded_ce_samples(self, subset: tuple, target_order: int) -> np.ndarray:
-        """H[Y | subset + noise padding] samples at dimension ``target_order``."""
-        if not subset or target_order < len(subset):
-            raise ValueError("need a non-empty subset no larger than the target order")
+        """Samples of H[Y | subset + noise padding] at dimension ``target_order``.
+
+        The empty subset gives the samples behind ``reference_band(target_order)``.
+        """
         return self._noise_level(subset, target_order)[0]
 
     def padded_ce(self, subset: tuple, target_order: int) -> float:
         return float(self.padded_ce_samples(subset, target_order).mean())
 
     def drew_synthetic(self, subset: tuple, target_order: int) -> bool:
-        """Whether the noise level of ``subset`` at ``target_order`` drew synthetic noise.
-
-        The empty subset stands for the reference band at ``target_order``.
-        """
-        return self._noise_level(subset, target_order)[1]
+        """Whether the noise level of ``subset`` at ``target_order`` drew synthetic noise."""
+        return self._noise_level(subset, target_order)[2]
 
     def _noise_level(self, subset: tuple, order: int) -> tuple:
-        if subset:
-            return self._memo.get(
-                ("padding", subset, order), lambda: self._padded_ce_samples(subset, order)
-            )
-        return self._memo.get(("reference", order), lambda: self._reference_band(order))
+        """``(samples, band, synthetic)`` of the subset's noise level at ``order``.
 
-    def _reference_band(self, k: int) -> tuple[NullBand, bool]:
-        cfg = self.config
-        noise = [f for f in cfg.noise_features if f in self.covariates]
-        if len(noise) >= max(k, 2) and k >= 1:
-            samples = [
-                self.ce(tuple(sorted(combo)))
-                for combo in itertools.combinations(noise, k)
+        The rule is the module docstring's; synthetic draws number
+        ``ref_replicates`` for the empty subset and ``pad_replicates`` otherwise.
+        """
+        pad = order - len(subset)
+        if pad < 1:
+            raise ValueError("the order must exceed the subset size")
+
+        def compute():
+            cfg = self.config
+            noise = [
+                f for f in cfg.noise_features if f in self.covariates and f not in subset
             ]
-            if len(samples) < 2:
-                samples = samples * 2
-            return band_from_samples("conditional_entropy", np.asarray(samples)), False
-        band = noise_reference_band(
-            self.response,
-            k,
-            self._bins_for_noise(),
-            cfg.ref_replicates,
-            child_rng(cfg.seed, 90, k),
-        )
-        return band, True
+            # the reference's samples are the ledger's own (sorted) subsets
+            samples = [
+                self.ce(subset + combo if subset else tuple(sorted(combo)))
+                for combo in itertools.combinations(noise, pad)
+            ]
+            synthetic = len(samples) < 2
+            if synthetic:
+                if subset:
+                    rng = child_rng(cfg.seed, 91, order, _subset_tag(subset))
+                    replicates, base = cfg.pad_replicates, (self.fused(subset),)
+                else:
+                    rng = child_rng(cfg.seed, 90, order)
+                    replicates, base = cfg.ref_replicates, ()
+                n_bins = self._bins_for_noise()
+                for _ in range(replicates):
+                    cols = tuple(synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad))
+                    samples.append(conditional_entropy(crosstab(base + cols, self.response)))
+            samples = np.asarray(samples)
+            return samples, band_from_samples("conditional_entropy", samples), synthetic
 
-    def _padded_ce_samples(self, subset: tuple, target_order: int) -> tuple[np.ndarray, bool]:
-        pad = target_order - len(subset)
-        if pad == 0:
-            return np.array([self.ce(subset), self.ce(subset)]), False
-        cfg = self.config
-        noise = [
-            f
-            for f in cfg.noise_features
-            if f in self.covariates and f not in subset
-        ]
-        base = self.fused(subset)
-        samples = [
-            conditional_entropy(
-                crosstab((base, *(self.covariates[f] for f in combo)), self.response)
-            )
-            for combo in itertools.combinations(noise, pad)
-        ]
-        synthetic = len(samples) < 2
-        if synthetic:
-            rng = child_rng(cfg.seed, 91, target_order, _subset_tag(subset))
-            n_bins = self._bins_for_noise()
-            for _ in range(cfg.pad_replicates):
-                cols = [synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad)]
-                samples.append(conditional_entropy(crosstab((base, *cols), self.response)))
-        return np.asarray(samples), synthetic
+        return self._memo.get(("noise", subset, order), compute)
 
 
 def _subset_tag(subset: tuple) -> int:
@@ -318,8 +305,8 @@ def sce_star_drop(
         raise ValueError("added_feature must belong to the subset")
     rest = tuple(f for f in subset if f != added_feature)
     k = len(subset)
-    level = evaluator.padded_ce(rest, k) if rest else evaluator.reference_band(k).mean
-    return level - evaluator.ce(subset), evaluator.drew_synthetic(rest, k)
+    drop = evaluator.padded_ce(rest, k) - evaluator.ce(subset)
+    return drop, evaluator.drew_synthetic(rest, k)
 
 
 def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
@@ -331,7 +318,6 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
     config = evaluator.config
     k = len(subset)
     ref = evaluator.reference_band(k)
-    margin = config.candidate_margin
     table = evaluator.table(subset)
     if table.avg_cell_count < config.cell_floor:
         return PairAnalysis(
@@ -345,13 +331,13 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
         )
     ce_joint = evaluator.ce(subset)
     joint_drop = ref.mean - ce_joint
-    joint_sig = ce_joint < ref.q025 - margin
+    joint_sig = ce_joint < ref.q025 - CANDIDATE_MARGIN
     parts = {}
     part_sig = {}
     for f in subset:
         padded = evaluator.padded_ce((f,), k)
         parts[f] = ref.mean - padded
-        part_sig[f] = padded < ref.q025 - margin
+        part_sig[f] = padded < ref.q025 - CANDIDATE_MARGIN
     sum_parts = sum(max(v, 0.0) for v in parts.values())
     floor = max(ref.mean - ref.q025, 1e-9)
     ratio = joint_drop / max(sum_parts, floor)
@@ -361,11 +347,11 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
         cls = NOT_SIGNIFICANT
     elif ratio >= config.r_int:
         cls = INTERACTION
-    elif excess < -config.coexist_margin:
+    elif excess < -COEXIST_MARGIN:
         cls = NON_COEXISTENT
     elif not all(part_sig.values()):
-        cls = DEPENDENCE_LINK if excess > config.coexist_margin else NO_ADDED_EFFECT
-    elif config.eco_low <= ratio <= config.eco_high or abs(excess) <= config.coexist_margin:
+        cls = DEPENDENCE_LINK if excess > COEXIST_MARGIN else NO_ADDED_EFFECT
+    elif ECO_LOW <= ratio <= ECO_HIGH or abs(excess) <= COEXIST_MARGIN:
         cls = ECOLOGICAL
     else:
         cls = UNDETERMINED
@@ -512,7 +498,6 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     verdicts = _map(lambda f: evaluator.mi_verdict((f,)), features, config.threads)
     pair_analyses = _map(lambda p: classify_subset(evaluator, p), pairs, config.threads)
     ref1 = evaluator.reference_band(1)
-    margin = config.candidate_margin
 
     candidates = []
     excluded = []
@@ -520,7 +505,7 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     for f, verdict in zip(features, verdicts):
         ce = evaluator.ce((f,))
         drops[f] = ref1.mean - ce
-        if verdict.status == "confirmed" and ce < ref1.q025 - margin:
+        if verdict.status == "confirmed" and ce < ref1.q025 - CANDIDATE_MARGIN:
             candidates.append(f)
         else:
             excluded.append(((f,), "not confirmed as order-1"))

@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import ceda.nullsim
 import ceda.protocol
 from ceda.categorize import apply_bins, quantile_bins
 from ceda.genlab import GeneratorSpec, sample
@@ -49,11 +48,7 @@ def table_from_counts(counts):
 
 
 def count_fusion_calls(monkeypatch) -> Counter:
-    """Count the evaluator's crosstab and product_categories calls, thread-safely.
-
-    ``crosstab`` counts the calls from ``ceda.protocol`` and from
-    ``ceda.nullsim`` (the synthetic noise reference band) together.
-    """
+    """Count the evaluator's crosstab and product_categories calls, thread-safely."""
     calls = Counter()
     lock = threading.Lock()
 
@@ -67,7 +62,6 @@ def count_fusion_calls(monkeypatch) -> Counter:
 
     for module, name in (
         (ceda.protocol, "crosstab"),
-        (ceda.nullsim, "crosstab"),
         (ceda.protocol, "product_categories"),
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))

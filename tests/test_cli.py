@@ -404,3 +404,27 @@ class TestSelectCommand:
         # the ledger's verdicts cover every singleton, so selection adds none
         assert {row[0] for row in reliable} == {"1", "2"}
         assert len(calls) == len(reliable)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("measure", "--covariates", "X1,X2,X3", "--subsets", "X1,X2+X3"),
+        ("null", "--covariates", "X1,X2,X3", "--subsets", "X1,X2+X3"),
+        ("grid", "--covariates", "X1", "--y-ladder", "4,6", "--x-ladder", "4,6"),
+        ("select", "--covariates", "X1,X2,X3,X4"),
+    ],
+    ids=lambda command: command[0],
+)
+@pytest.mark.parametrize("out_format", ["tsv", "json"])
+def test_report_bytes_do_not_depend_on_thread_count(capsys, ex4_csv, command, out_format):
+    outs = []
+    for threads in ("1", "3"):
+        code, out, _ = run(
+            capsys, command[0], "--input", ex4_csv, "--response", "Y", *command[1:],
+            "--seed", "1", "--replicates", "50", "--threads", threads,
+            "--format", out_format,
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]

@@ -1,4 +1,4 @@
-"""Mimicry nulls, confirmability verdicts and noise reference levels."""
+"""Mimicry nulls and confirmability verdicts."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,10 @@ from ceda.nullsim import (
     localize_differences,
     mimic_ce_samples,
     mimic_table,
-    noise_reference_band,
     null_band,
 )
 from ceda.tabulate import (
     CategoricalSeries,
-    column_margin_entropy,
     conditional_entropy,
     crosstab,
     mutual_information,
@@ -181,34 +179,3 @@ class TestLocalizeDifferences:
         t = table_from_counts([[7], [9], [4]])
         verdicts = localize_differences(t, 300, child_rng(14))
         assert [v.flagged for v in verdicts] == [False]
-
-
-class TestNoiseReference:
-    def test_zero_size_equals_margin_entropy(self):
-        rng = np.random.default_rng(15)
-        y = CategoricalSeries(labels=rng.integers(0, 6, 500), cardinality=6)
-        t = crosstab(CategoricalSeries(labels=np.zeros(500, dtype=int), cardinality=1), y)
-        assert noise_reference_band(y, 0, 12).mean == pytest.approx(
-            column_margin_entropy(t), abs=1e-12
-        )
-
-    def test_reference_non_increasing_in_subset_size(self):
-        data = sample(GeneratorSpec("ex6", 20_000, seed=2))
-        y = binned(data["Y"], 10)
-        levels = [
-            noise_reference_band(y, k, 12, 30, child_rng(16, k)).mean for k in (1, 2, 3)
-        ]
-        assert levels[0] >= levels[1] >= levels[2]
-
-    def test_band_is_tight_at_scale(self):
-        data = sample(GeneratorSpec("ex4", 10_000, seed=1))
-        y = binned(data["Y"], 10)
-        band = noise_reference_band(y, 1, 12, 100, child_rng(17))
-        assert band.sd < 0.01
-        assert band.mean == pytest.approx(2.45, abs=0.03)
-
-    def test_negative_size_rejected(self):
-        rng = np.random.default_rng(18)
-        y = CategoricalSeries(labels=rng.integers(0, 4, 100), cardinality=4)
-        with pytest.raises(ValueError):
-            noise_reference_band(y, -1, 12)

@@ -9,6 +9,7 @@ import pytest
 from ceda.genlab import GeneratorSpec, sample
 from ceda.protocol import (
     ProtocolConfig,
+    _maximal_coexistent_sets,
     SubsetEvaluator,
     build_ledger,
     classify_subset,
@@ -153,8 +154,8 @@ class TestSceStarDrop:
     ):
         cov, y = additive_sine_setup
         ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X4",)))
-        # padding X1 to dimension 2 finds one designated sample and tops it up
-        # with synthetic ones; the order-1 reference needs two designated features
+        # padding X1 to dimension 2 and the order-1 reference each find one
+        # designated sample and top it up with synthetic ones
         assert sce_star_drop(ev, ("X1", "X2"), "X2")[1]
         assert sce_star_drop(ev, ("X1",), "X1")[1]
         assert len(ev.padded_ce_samples(("X1",), 2)) == 1 + ev.config.pad_replicates
@@ -168,6 +169,56 @@ class TestSceStarDrop:
     def test_feature_must_belong_to_subset(self, additive_sine_evaluator):
         with pytest.raises(ValueError):
             sce_star_drop(additive_sine_evaluator, ("X1", "X2"), "X3")
+
+
+class TestReferenceBand:
+    def test_zero_size_rejected(self, additive_sine_evaluator):
+        with pytest.raises(ValueError):
+            additive_sine_evaluator.reference_band(0)
+
+    def test_negative_size_rejected(self, additive_sine_evaluator):
+        with pytest.raises(ValueError):
+            additive_sine_evaluator.reference_band(-1)
+
+    def test_reference_non_increasing_in_subset_size(self):
+        data = sample(GeneratorSpec("ex6", 20_000, seed=2))
+        y = binned(data["Y"], 10)
+        cov = {f: binned(data[f], 10) for f in ("X1", "X2", "X3")}
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=16, ref_replicates=30))
+        levels = [ev.reference_band(k).mean for k in (1, 2, 3)]
+        assert levels[0] >= levels[1] >= levels[2]
+
+    def test_band_is_tight_at_scale(self, additive_sine_setup):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=17, ref_replicates=100))
+        band = ev.reference_band(1)
+        assert band.sd < 0.01
+        assert band.mean == pytest.approx(2.45, abs=0.03)
+
+    def test_one_designated_combination_is_topped_up_with_synthetic_noise(
+        self, additive_sine_setup
+    ):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X3", "X4")))
+        band = ev.reference_band(2)
+        assert band.replicates > 2
+        assert band.sd > 0
+        assert band.q025 < band.q975
+        assert ev.drew_synthetic((), 2)
+
+    def test_one_designated_feature_joins_the_synthetic_replicates(
+        self, additive_sine_setup
+    ):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X4",)))
+        band = ev.reference_band(1)
+        assert band.replicates == 1 + ev.config.ref_replicates
+        assert band.samples[0] == ev.ce(("X4",))
+        assert ev.drew_synthetic((), 1)
+
+    def test_padding_must_add_a_feature(self, additive_sine_evaluator):
+        with pytest.raises(ValueError):
+            additive_sine_evaluator.padded_ce_samples(("X1", "X2"), 2)
 
 
 class TestClassifySubset:
@@ -229,6 +280,24 @@ class TestSelectMajorFactors:
         classes = {p.pair: p.classification for p in report.pair_analyses}
         assert classes[("X1", "X6")] == "non_coexistent"
         assert classes[("X1", "X2")] == "ecological"
+
+
+class TestMaximalCoexistentSets:
+    def test_sets_and_their_order_on_a_small_conflict_graph(self):
+        conflicts = {frozenset(p) for p in (("X1", "X2"), ("X2", "X3"), ("X4", "X5"))}
+        sets = _maximal_coexistent_sets(["X1", "X2", "X3", "X4", "X5"], conflicts)
+        assert sets == [
+            ("X1", "X3", "X4"),
+            ("X1", "X3", "X5"),
+            ("X2", "X4"),
+            ("X2", "X5"),
+        ]
+
+    def test_no_conflicts_give_one_set_of_every_candidate(self):
+        assert _maximal_coexistent_sets(["b", "a", "c"], set()) == [("b", "a", "c")]
+
+    def test_no_candidates_give_no_sets(self):
+        assert _maximal_coexistent_sets([], set()) == []
 
 
 class TestMiGrid:
