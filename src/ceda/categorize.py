@@ -3,10 +3,18 @@
 Two routes: 1+K+1 binning (K equal-width interior bins over the 5%-95%
 quantile range plus two unbounded tail bins) for 1-D features, and Lloyd
 K-means for 1-D or multi-D features.
+
+K-means on 1-D points sorts them once and labels them in each iteration by
+cutting the sorted points at the midpoints between sorted centroids.  Points
+close enough to a midpoint for rounding to matter are re-decided with the
+multi-D path's own distance arithmetic, so the labels, centroids, inertia
+and iteration count equal those of the full point-by-centroid distance
+matrix bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -108,10 +116,6 @@ class KMeansModel:
     assignments: CategoricalSeries
     inertia: float
     iterations_run: int
-    seed: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({"centroids": self.centroids.tolist(), "seed": self.seed})
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray):
@@ -124,6 +128,66 @@ def _nearest(points: np.ndarray, centroids: np.ndarray):
     labels = np.argmin(sq, axis=1)
     d2 = np.maximum(sq[np.arange(points.shape[0]), labels], 0.0)
     return labels, d2
+
+
+_EPS = np.finfo(float).eps / 2  # unit roundoff u
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _sorted_nearest(x: np.ndarray):
+    """``_nearest`` for the 1-D points ``x``, bit for bit: sort once, cut at midpoints.
+
+    Returns ``assign(centroids) -> (labels, d2)``.  Between two adjacent
+    sorted centroids a < b, every point below their midpoint m is nearer to a
+    and every point above it nearer to b, so cutting the sorted points at the
+    midpoints labels them all.  ``_nearest`` compares rounded distances
+    q(x, c) = fl(fl(x*x) - fl(2x*c)) + fl(c*c) instead, and these can
+    disagree with the exact order near a midpoint.
+
+    Window: with S = max|x| + max|c|, each q(x, c) is within
+    E = 3u(|x|+|c|)^2 + O(u^2) <= 6u*S^2 (plus 8 subnormal steps for
+    underflow) of (x - c)^2, u being the unit roundoff.  The exact gap
+    (x - b)^2 - (x - a)^2 = 2(b - a)(m - x), and any centroid beyond a or b
+    is farther by at least as much, so ``argmin`` agrees with the exact
+    order once 2(b - a)|m - x| > 2E, i.e. |m - x| > E / (b - a).  The window
+    half-width 2E / (b - a) + 4u*S doubles that and absorbs the rounding of
+    m, of b - a and of the window's own ends.  Points inside a window go to
+    ``_nearest`` itself, so its arithmetic decides ties and near-ties (the
+    lowest index wins).  Coincident centroids (b - a = 0) or a bound that
+    overflows give an infinite window: then every point goes to ``_nearest``.
+    ``d2`` is ``_nearest``'s own expression for the chosen centroid.
+    """
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    x_scale = max(abs(xs[0]), abs(xs[-1]))
+    x2, two_x = x**2, 2.0 * x
+
+    def assign(centroids: np.ndarray):
+        k = centroids.shape[0]
+        c = centroids[:, 0]
+        corder = np.argsort(c, kind="stable")
+        cs = c[corder]
+        scale = x_scale + np.abs(cs).max()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bound = 6.0 * _EPS * scale * scale + 8.0 * _TINY
+            half = 2.0 * bound / np.diff(cs) + 4.0 * _EPS * scale
+        if not np.isfinite(half).all():
+            return _nearest(x[:, None], centroids)
+        mids = (cs[:-1] + cs[1:]) / 2.0
+        cuts = np.searchsorted(xs, mids)
+        labels = np.empty(n, dtype=corder.dtype)
+        labels[order] = corder[np.repeat(np.arange(k), np.diff(cuts, prepend=0, append=n))]
+        lo = np.searchsorted(xs, mids - half, side="left")
+        hi = np.searchsorted(xs, mids + half, side="right")
+        covered = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
+        near = order[covered[:n] > 0]
+        if near.size:
+            labels[near] = _nearest(x[near, None], centroids)[0]
+        cl = c[labels]
+        return labels, np.maximum(x2 - two_x * cl + cl**2, 0.0)
+
+    return assign
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,6 +218,14 @@ def kmeans_fit(
 
     Stops when the relative inertia improvement drops below ``rel_tol``.
     An emptied cluster is reseeded to the point farthest from its centroid.
+
+    Multi-D points are assigned with the full point-by-centroid distance
+    matrix (``_nearest``).  1-D points are sorted once and, in each
+    iteration, cut at the sorted centroids' midpoints (``_sorted_nearest``);
+    points close enough to a midpoint for rounding to matter are re-decided
+    by ``_nearest``'s own arithmetic, so labels, centroids, inertia and
+    iteration count are those of the distance-matrix path, bit for bit.
+    Cluster sums accumulate in record order on either path.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -164,14 +236,19 @@ def kmeans_fit(
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= number of points")
 
+    if d == 1:
+        assign = _sorted_nearest(points[:, 0])
+    else:
+        assign = functools.partial(_nearest, points)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
-    labels, d2 = _nearest(points, centroids)
+    labels, d2 = assign(centroids)
     inertia = float(d2.sum())
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        sums = np.zeros((k, d))
-        np.add.at(sums, labels, points)
+        sums = np.column_stack(
+            [np.bincount(labels, weights=column, minlength=k) for column in points.T]
+        )
         sizes = np.bincount(labels, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         nonempty = sizes > 0
@@ -180,7 +257,7 @@ def kmeans_fit(
             far = int(np.argmax(d2))
             centroids[j] = points[far]
             d2[far] = 0.0
-        labels, d2 = _nearest(points, centroids)
+        labels, d2 = assign(centroids)
         new_inertia = float(d2.sum())
         if inertia > 0 and (inertia - new_inertia) / inertia < rel_tol:
             inertia = new_inertia
@@ -192,7 +269,6 @@ def kmeans_fit(
         assignments=assignments,
         inertia=inertia,
         iterations_run=iterations,
-        seed=seed,
     )
 
 

@@ -69,17 +69,27 @@ class RunConfig:
     def __post_init__(self):
         if self.out_format not in ("tsv", "json"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        if self.max_order < 1:
-            raise ConfigError("max-order must be >= 1")
-        if self.replicates < 2:
-            raise ConfigError("replicates must be >= 2")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        self.protocol()
         overlap = set(self.response) & set(self.covariates)
         if overlap:
             raise ConfigError(
                 f"columns cannot be both response and covariate: {sorted(overlap)}"
             )
+
+    def protocol(self) -> ProtocolConfig:
+        """This run's selection settings; a value ``ProtocolConfig`` rejects is a ConfigError."""
+        try:
+            return ProtocolConfig(
+                max_order=self.max_order,
+                replicates=self.replicates,
+                seed=self.seed,
+                r_int=self.r_int,
+                cell_floor=self.cell_floor,
+                noise_features=self.noise_features,
+                threads=self.threads,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def digest(self) -> str:
         blob = json.dumps(
@@ -160,24 +170,28 @@ def build_run_config(args) -> RunConfig:
             return tuple(c for c in value.split(",") if c)
         return tuple(value)
 
-    categorize = dict(
-        (k, tuple(v)) for k, v in file_cfg.get("categorize", {}).items()
-    )
-    categorize.update(_parse_categorize(getattr(args, "categorize", None)))
-    config = RunConfig(
-        input_path=pick("input", getattr(args, "input", None), None),
-        response=names("response", getattr(args, "response", None)),
-        covariates=names("covariates", getattr(args, "covariates", None)),
-        categorize=categorize,
-        max_order=int(pick("max_order", getattr(args, "max_order", None), 2)),
-        replicates=int(pick("replicates", getattr(args, "replicates", None), 1000)),
-        seed=int(pick("seed", getattr(args, "seed", None), 0)),
-        threads=int(pick("threads", getattr(args, "threads", None), 1)),
-        r_int=float(pick("r_int", getattr(args, "r_int", None), 3.0)),
-        cell_floor=float(pick("cell_floor", getattr(args, "cell_floor", None), 1.0)),
-        noise_features=names("noise_features", getattr(args, "noise", None)),
-        out_format=pick("format", getattr(args, "format", None), "tsv"),
-    )
+    try:
+        categorize = dict(
+            (k, tuple(v)) for k, v in file_cfg.get("categorize", {}).items()
+        )
+        categorize.update(_parse_categorize(getattr(args, "categorize", None)))
+        config = RunConfig(
+            input_path=pick("input", getattr(args, "input", None), None),
+            response=names("response", getattr(args, "response", None)),
+            covariates=names("covariates", getattr(args, "covariates", None)),
+            categorize=categorize,
+            max_order=int(pick("max_order", getattr(args, "max_order", None), 2)),
+            replicates=int(pick("replicates", getattr(args, "replicates", None), 1000)),
+            seed=int(pick("seed", getattr(args, "seed", None), 0)),
+            threads=int(pick("threads", getattr(args, "threads", None), 1)),
+            r_int=float(pick("r_int", getattr(args, "r_int", None), 3.0)),
+            cell_floor=float(pick("cell_floor", getattr(args, "cell_floor", None), 1.0)),
+            noise_features=names("noise_features", getattr(args, "noise", None)),
+            out_format=pick("format", getattr(args, "format", None), "tsv"),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a config file value of the wrong type, e.g. {"r_int": "abc"}
+        raise ConfigError(f"bad config value: {exc}") from exc
     max_order_given = getattr(args, "max_order", None) is not None or "max_order" in file_cfg
     if max_order_given and config.covariates:
         _check_max_order(config)
@@ -305,6 +319,8 @@ def _parse_subsets(text: str | None, config: RunConfig) -> list[tuple]:
         unknown = [p for p in parts if p not in config.covariates]
         if unknown:
             raise ConfigError(f"subset names unknown covariates {unknown}")
+        if len(set(parts)) < len(parts):
+            raise ConfigError(f"subset {item!r} names a covariate more than once")
         subsets.append(parts)
     return subsets
 
@@ -518,17 +534,8 @@ def cmd_select(args) -> int:
     data = ingest_csv(config.input_path, config)
     covs, response = _build_series(data, config)
     _check_max_order(config)
-    pcfg = ProtocolConfig(
-        max_order=config.max_order,
-        replicates=config.replicates,
-        seed=config.seed,
-        r_int=config.r_int,
-        cell_floor=config.cell_floor,
-        noise_features=config.noise_features,
-        threads=config.threads,
-    )
     _log(f"select: {len(covs)} covariates, max order {config.max_order}")
-    evaluator = SubsetEvaluator(covs, response, pcfg)
+    evaluator = SubsetEvaluator(covs, response, config.protocol())
     ledger = build_ledger(evaluator)
     report = select_major_factors(evaluator)
     ledger_tsv = ledger_to_tsv(ledger)

@@ -15,6 +15,7 @@ binned with the covariates' ladder are drawn on top.  A level is
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,7 +84,8 @@ class ProtocolConfig:
     analyses argue with ratios ("more than 10 times", "5 times larger")
     rather than fixed constants; the ecological band and the margins are
     the module constants ``ECO_LOW``/``ECO_HIGH``, ``COEXIST_MARGIN`` and
-    ``CANDIDATE_MARGIN``.
+    ``CANDIDATE_MARGIN``.  Construction raises ``ValueError`` for a value
+    outside its range, e.g. fewer than 2 replicates or a non-finite ``r_int``.
     """
 
     max_order: int = 2
@@ -96,6 +98,22 @@ class ProtocolConfig:
     cell_budget: int = 2_000_000
     noise_features: tuple = ()
     threads: int = 1
+
+    def __post_init__(self):
+        for name, least in (
+            ("max_order", 1),
+            ("replicates", 2),
+            ("ref_replicates", 2),
+            ("pad_replicates", 2),
+            ("cell_budget", 1),
+            ("threads", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not (math.isfinite(self.r_int) and self.r_int > 0):
+            raise ValueError(f"r_int must be finite and > 0, got {self.r_int}")
+        if not self.cell_floor >= 0:
+            raise ValueError(f"cell_floor must be >= 0, got {self.cell_floor}")
 
 
 @dataclass(frozen=True)

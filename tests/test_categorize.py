@@ -1,14 +1,15 @@
 """Quantile binning and K-means categorization."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
+import ceda.categorize
 from ceda.categorize import (
     BinningScheme,
-    KMeansModel,
+    _kmeans_pp_init,
+    _nearest,
     apply_bins,
     fuse_features,
     kmeans_fit,
@@ -17,6 +18,51 @@ from ceda.categorize import (
 )
 from ceda.genlab import GeneratorSpec, sample
 from ceda.tabulate import CategoricalSeries
+
+
+def reference_kmeans_fit(points, k, seed=0, max_iter=300, rel_tol=1e-6, reseeds=None):
+    """The distance-matrix Lloyd loop with ``np.add.at`` sums, kept as the oracle.
+
+    Returns what ``fit_fields`` returns for a ``kmeans_fit`` model; each
+    reseeded cluster is appended to ``reseeds``.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    d = points.shape[1]
+    centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+    labels, d2 = _nearest(points, centroids)
+    inertia = float(d2.sum())
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        sums = np.zeros((k, d))
+        np.add.at(sums, labels, points)
+        sizes = np.bincount(labels, minlength=k)
+        nonempty = sizes > 0
+        centroids[nonempty] = sums[nonempty] / sizes[nonempty, None]
+        for j in np.flatnonzero(sizes == 0):
+            far = int(np.argmax(d2))
+            centroids[j] = points[far]
+            d2[far] = 0.0
+            if reseeds is not None:
+                reseeds.append(j)
+        labels, d2 = _nearest(points, centroids)
+        new_inertia = float(d2.sum())
+        if inertia > 0 and (inertia - new_inertia) / inertia < rel_tol:
+            inertia = new_inertia
+            break
+        inertia = new_inertia
+    return labels.tolist(), centroids.tobytes(), inertia, iterations
+
+
+def fit_fields(model):
+    """Labels, centroid bytes, inertia and iteration count of a fit."""
+    return (
+        model.assignments.labels.tolist(),
+        model.centroids.tobytes(),
+        model.inertia,
+        model.iterations_run,
+    )
 
 
 def manual_quantile(sorted_values, q):
@@ -166,11 +212,60 @@ class TestKMeans:
         sizes = np.bincount(model.assignments.labels, minlength=22)
         assert sizes.std() / sizes.mean() < 1.0
 
-    def test_model_json_has_centroids_and_seed(self):
-        model = kmeans_fit(np.arange(30.0), 3, seed=2)
-        obj = json.loads(model.to_json())
-        assert set(obj) == {"centroids", "seed"}
-        assert obj["seed"] == 2
+    @pytest.mark.parametrize(
+        "points, k",
+        [
+            (np.array([0.0, 0, 0, 0, 1, 1, 1, 1]), 3),
+            (np.repeat(np.arange(4.0), 5)[:, None].repeat(2, axis=1), 6),
+        ],
+        ids=["1-D", "2-D"],
+    )
+    def test_emptied_cluster_is_reseeded_as_in_the_reference(self, points, k):
+        # more clusters than distinct points: k-means++ places coincident
+        # centroids, so a cluster empties and is reseeded in every iteration
+        reseeds = []
+        expected = reference_kmeans_fit(points, k, seed=3, reseeds=reseeds)
+        assert reseeds
+        assert fit_fields(kmeans_fit(points, k, seed=3)) == expected
+
+    @pytest.mark.parametrize(
+        "example, columns, k, seed",
+        [
+            ("ex3_rho", ("Y",), 12, 1),
+            ("ex3_rho", ("X",), 102, 2),
+            ("ex3_fullsine", ("Y",), 32, 3),
+            ("ex2", ("Y1", "Y2"), 22, 4),
+            ("ex2", ("Y1", "Y2"), 12, 5),
+        ],
+    )
+    def test_fit_matches_reference_lloyd_loop(self, example, columns, k, seed):
+        data = sample(GeneratorSpec(example, 2000, seed=seed))
+        points = np.column_stack([data[c] for c in columns]).squeeze()
+        assert fit_fields(kmeans_fit(points, k, seed=seed)) == reference_kmeans_fit(
+            points, k, seed=seed
+        )
+
+    def test_rounded_values_match_reference(self):
+        # one decimal: many duplicated points, some of them on a midpoint
+        points = np.round(np.random.default_rng(21).standard_normal(3000), 1)
+        for k in (5, 12, 40):
+            assert fit_fields(kmeans_fit(points, k, seed=k)) == reference_kmeans_fit(
+                points, k, seed=k
+            )
+
+    def test_sorted_path_redecides_only_points_near_a_midpoint(self, monkeypatch):
+        sent = []
+        original = ceda.categorize._nearest
+
+        def counting(points, centroids):
+            sent.append(points.shape[0])
+            return original(points, centroids)
+
+        monkeypatch.setattr(ceda.categorize, "_nearest", counting)
+        values = np.random.default_rng(22).standard_normal(5000)
+        model = kmeans_fit(values, 22, seed=1)
+        assert model.iterations_run > 5
+        assert sum(sent) < 0.01 * values.size * (model.iterations_run + 1)
 
 
 class TestFuseFeatures:

@@ -144,6 +144,53 @@ class TestExitCodes:
         code, _, _ = run(capsys, "measure", "--input", ex1_csv, "--config", str(bad))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "content", ['{"r_int": "abc"}', '{"max_order": [1]}', '{"categorize": 5}']
+    )
+    def test_config_file_value_of_wrong_type_is_exit_3(self, capsys, tmp_path, ex1_csv, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out, err = run(
+            capsys, "measure", "--input", ex1_csv, "--response", "Y",
+            "--covariates", "V1", "--config", str(cfg),
+        )
+        assert code == 3
+        assert err.startswith("config error: bad config value")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--r-int", "nan", "r_int must be finite and > 0"),
+            ("--r-int", "-2", "r_int must be finite and > 0"),
+            ("--r-int", "inf", "r_int must be finite and > 0"),
+            ("--cell-floor", "-1", "cell_floor must be >= 0"),
+            ("--cell-floor", "nan", "cell_floor must be >= 0"),
+            ("--replicates", "1", "replicates must be >= 2"),
+            ("--threads", "0", "threads must be >= 1"),
+        ],
+    )
+    def test_out_of_range_select_setting_is_exit_3(
+        self, capsys, ex1_csv, flag, value, message
+    ):
+        code, out, err = run(
+            capsys, "select", "--input", ex1_csv, "--response", "Y",
+            "--covariates", "V1", "--max-order", "1", flag, value,
+        )
+        assert code == 3
+        assert err.startswith(f"config error: {message}")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["measure", "null"])
+    def test_subset_repeating_a_feature_is_exit_3(self, capsys, ex4_csv, command):
+        code, out, err = run(
+            capsys, command, "--input", ex4_csv, "--response", "Y",
+            "--covariates", "X1,X2", "--subsets", "X2,X1+X1", "--replicates", "50",
+        )
+        assert code == 3
+        assert err.startswith("config error: subset 'X1+X1'")
+        assert out == ""
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_in_measure_is_exit_2(self, capsys, tmp_path, token):
         path = tmp_path / "d.csv"

@@ -6,7 +6,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ceda.categorize import apply_bins, product_categories, quantile_bins
+from ceda.categorize import (
+    _nearest,
+    _sorted_nearest,
+    apply_bins,
+    product_categories,
+    quantile_bins,
+)
 from ceda.nullsim import child_rng, mimic_table, null_band
 from ceda.tabulate import (
     CategoricalSeries,
@@ -182,3 +188,43 @@ def test_fusion_past_int64_cardinality_product(inputs):
     series, response = inputs
     assert math.prod(s.cardinality for s in series) > 2**63
     check_fusion_against_unique_rows(series, response)
+
+
+@st.composite
+def points_and_centroids(draw):
+    """1-D points and centroids that put points on or next to centroid midpoints."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["integers", "offset", "near-midpoint", "floats"]))
+    if shape == "integers":
+        # integer points and half-integer centroids: some points sit exactly
+        # on a midpoint, duplicated points and coincident centroids are common
+        x = draw(hnp.arrays(float, n, elements=st.integers(-6, 6).map(float)))
+        centroid_values = st.integers(-14, 14).map(lambda v: v / 2)
+    elif shape == "offset":
+        x = draw(hnp.arrays(float, n, elements=st.floats(-5e-4, 5e-4))) + 1e8
+        centroid_values = st.floats(-5e-4, 5e-4).map(lambda v: v + 1e8)
+    else:
+        x = draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+        centroid_values = st.floats(-1e3, 1e3)
+    k = draw(st.sampled_from([n, max(n - 1, 1), draw(st.integers(1, n))]))
+    if draw(st.booleans()):
+        centroids = x[draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))]
+    else:
+        centroids = draw(hnp.arrays(float, k, elements=centroid_values))
+    if shape == "near-midpoint" and k > 1:
+        # move each point to a few ulps from the midpoint of two centroids
+        pairs = draw(hnp.arrays(np.int64, (n, 2), elements=st.integers(0, k - 1)))
+        steps = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3)))
+        x = (centroids[pairs[:, 0]] + centroids[pairs[:, 1]]) / 2
+        x = x + steps * np.spacing(x)
+    return x, centroids[:, None]
+
+
+@settings(max_examples=400, deadline=None)
+@given(points_and_centroids())
+def test_sorted_1d_assignment_matches_distance_matrix(case):
+    x, centroids = case
+    labels, d2 = _sorted_nearest(x)(centroids)
+    expected_labels, expected_d2 = _nearest(x[:, None], centroids)
+    assert labels.tolist() == expected_labels.tolist()
+    assert d2.tobytes() == expected_d2.tobytes()

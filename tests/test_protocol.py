@@ -42,6 +42,34 @@ def additive_sine_evaluator(additive_sine_setup):
     return SubsetEvaluator(cov, y, ProtocolConfig(max_order=2, seed=1))
 
 
+class TestProtocolConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_order", 0),
+            ("replicates", 1),
+            ("ref_replicates", 1),
+            ("pad_replicates", 1),
+            ("cell_budget", 0),
+            ("threads", 0),
+            ("r_int", float("nan")),
+            ("r_int", float("inf")),
+            ("r_int", 0.0),
+            ("cell_floor", -1.0),
+            ("cell_floor", float("nan")),
+        ],
+    )
+    def test_out_of_range_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{field: value})
+
+    def test_smallest_accepted_values(self):
+        ProtocolConfig(
+            max_order=1, replicates=2, ref_replicates=2, pad_replicates=2,
+            cell_budget=1, threads=1, r_int=1e-9, cell_floor=0.0,
+        )
+
+
 class TestEnumerateSubsets:
     def test_four_features_full_depth(self):
         assert len(enumerate_subsets(list("abcd"), 4)) == 15
