@@ -216,7 +216,15 @@ def kmeans_fit(
 ) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ start.
 
-    Stops when the relative inertia improvement drops below ``rel_tol``.
+    Stops when the relative inertia improvement drops below ``rel_tol``, or
+    when the centroids equal, bit for bit, those of ``p`` iterations before.
+    Each iteration's centroids depend on the previous centroids alone, so
+    from then on the fit repeats that cycle; it stops at the first iteration
+    whose state is the one the ``max_iter``-th would end on (at once for a
+    fixed point, ``p`` = 1).  Labels, centroids and inertia are those of the
+    uncut loop; only ``iterations_run`` is smaller.  This stops fits whose
+    inertia reaches 0 (no more clusters than distinct points), which the
+    relative test cannot.
     An emptied cluster is reseeded to the point farthest from its centroid.
 
     Multi-D points are assigned with the full point-by-centroid distance
@@ -245,6 +253,7 @@ def kmeans_fit(
     labels, d2 = assign(centroids)
     inertia = float(d2.sum())
     iterations = 0
+    seen = {centroids.tobytes(): 0}
     for iterations in range(1, max_iter + 1):
         sums = np.column_stack(
             [np.bincount(labels, weights=column, minlength=k) for column in points.T]
@@ -259,10 +268,12 @@ def kmeans_fit(
             d2[far] = 0.0
         labels, d2 = assign(centroids)
         new_inertia = float(d2.sum())
-        if inertia > 0 and (inertia - new_inertia) / inertia < rel_tol:
-            inertia = new_inertia
-            break
+        converged = inertia > 0 and (inertia - new_inertia) / inertia < rel_tol
         inertia = new_inertia
+        # centroids seen ``period`` iterations ago: the fit cycles from here
+        period = iterations - seen.setdefault(centroids.tobytes(), iterations)
+        if converged or (period and (max_iter - iterations) % period == 0):
+            break
     assignments = CategoricalSeries(labels=labels, cardinality=k)
     return KMeansModel(
         centroids=centroids,

@@ -20,11 +20,17 @@ from ceda.genlab import GeneratorSpec, sample
 from ceda.tabulate import CategoricalSeries
 
 
-def reference_kmeans_fit(points, k, seed=0, max_iter=300, rel_tol=1e-6, reseeds=None):
+def reference_kmeans_fit(
+    points, k, seed=0, max_iter=300, rel_tol=1e-6, reseeds=None, stop_at_repeat=True
+):
     """The distance-matrix Lloyd loop with ``np.add.at`` sums, kept as the oracle.
 
-    Returns what ``fit_fields`` returns for a ``kmeans_fit`` model; each
-    reseeded cluster is appended to ``reseeds``.
+    With ``stop_at_repeat`` it also stops once the centroids repeat those of
+    an earlier iteration and the cycle is in the state the ``max_iter``-th
+    iteration would end on; without it, only the relative test or
+    ``max_iter`` stops it.  Returns what ``fit_fields`` returns for a
+    ``kmeans_fit`` model; each reseed is appended to ``reseeds`` as
+    (emptied cluster, cluster of the reseed point).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -33,6 +39,7 @@ def reference_kmeans_fit(points, k, seed=0, max_iter=300, rel_tol=1e-6, reseeds=
     centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
     labels, d2 = _nearest(points, centroids)
     inertia = float(d2.sum())
+    history = [centroids.tobytes()]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         sums = np.zeros((k, d))
@@ -45,13 +52,18 @@ def reference_kmeans_fit(points, k, seed=0, max_iter=300, rel_tol=1e-6, reseeds=
             centroids[j] = points[far]
             d2[far] = 0.0
             if reseeds is not None:
-                reseeds.append(j)
+                reseeds.append((j, int(labels[far])))
         labels, d2 = _nearest(points, centroids)
         new_inertia = float(d2.sum())
         if inertia > 0 and (inertia - new_inertia) / inertia < rel_tol:
             inertia = new_inertia
             break
         inertia = new_inertia
+        history.append(centroids.tobytes())
+        if stop_at_repeat and history.count(history[-1]) > 1:
+            period = iterations - history.index(history[-1])
+            if (max_iter - iterations) % period == 0:
+                break
     return labels.tolist(), centroids.tobytes(), inertia, iterations
 
 
@@ -227,6 +239,37 @@ class TestKMeans:
         expected = reference_kmeans_fit(points, k, seed=3, reseeds=reseeds)
         assert reseeds
         assert fit_fields(kmeans_fit(points, k, seed=3)) == expected
+
+    @pytest.mark.parametrize(
+        "points, k",
+        [(np.repeat(np.arange(5.0), 100), 5), (np.array([0.0, 0, 0, 0, 1, 1, 1, 1]), 3)],
+        ids=["5-values-k5", "2-values-k3"],
+    )
+    def test_fixed_point_stops_with_the_capped_fit(self, points, k):
+        # inertia reaches 0, so only the cap stops the reference loop
+        expected = reference_kmeans_fit(points, k, stop_at_repeat=False)
+        assert expected[2:] == (0.0, 300)
+        model = kmeans_fit(points, k)
+        assert model.iterations_run <= 5
+        assert fit_fields(model)[:2] == expected[:2]
+        assert np.float64(model.inertia).tobytes() == np.float64(expected[2]).tobytes()
+
+    @pytest.mark.parametrize("max_iter", [299, 300])
+    def test_cycle_stops_in_the_state_the_capped_fit_ends_on(self, max_iter):
+        # cluster 1 empties and is reseeded onto a 0.4 of cluster 4; the
+        # mean of three 0.4s is not 0.4, so the two clusters trade the 0.4s
+        # back and forth and the centroids repeat every second iteration
+        points = np.array([0.4, 0.4, 0.4, -1.5, -0.2, -0.3])
+        reseeds = []
+        expected = reference_kmeans_fit(
+            points, 5, seed=2, max_iter=max_iter, reseeds=reseeds, stop_at_repeat=False
+        )
+        assert (1, 4) in reseeds
+        assert expected[3] == max_iter
+        model = kmeans_fit(points, 5, seed=2, max_iter=max_iter)
+        assert model.iterations_run <= 5
+        assert fit_fields(model)[:2] == expected[:2]
+        assert np.float64(model.inertia).tobytes() == np.float64(expected[2]).tobytes()
 
     @pytest.mark.parametrize(
         "example, columns, k, seed",

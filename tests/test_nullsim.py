@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ceda.categorize import fuse_features
 from ceda.genlab import GeneratorSpec, sample
@@ -22,6 +24,68 @@ from ceda.tabulate import (
     mutual_information,
 )
 from conftest import binned, table_from_counts
+
+
+def reference_mimic_ce_samples(table, n_replicates, rng):
+    """The masked per-row loop with a weighted ``np.bincount``, kept as the oracle."""
+    counts = table.counts
+    n_rows, n_cols = counts.shape
+    total = float(table.total)
+    probs = table.row_margin / total
+
+    remaining = np.broadcast_to(
+        table.col_margin, (n_replicates, n_cols)
+    ).astype(np.int64).copy()
+    cell_xlogx = np.zeros(n_replicates)
+    row_xlogx = np.zeros(n_replicates)
+    p_left = 1.0
+    for r in range(n_rows):
+        if r == n_rows - 1:
+            draw = remaining
+        else:
+            p = probs[r] / p_left if p_left > 0 else 0.0
+            draw = rng.binomial(remaining, min(max(p, 0.0), 1.0))
+            remaining = remaining - draw
+            p_left -= probs[r]
+        pos = draw > 0
+        if pos.any():
+            vals = draw[pos].astype(float)
+            contrib = vals * np.log(vals)
+            cell_xlogx += np.bincount(
+                np.nonzero(pos)[0], weights=contrib, minlength=n_replicates
+            )
+        rs = draw.sum(axis=1).astype(float)
+        rp = rs > 0
+        row_contrib = np.zeros(n_replicates)
+        row_contrib[rp] = rs[rp] * np.log(rs[rp])
+        row_xlogx += row_contrib
+    ce = (row_xlogx - cell_xlogx) / total
+    return np.maximum(ce, 0.0)
+
+
+def plain(state):
+    """A bit generator's state with its arrays as lists, so states compare with ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@st.composite
+def mimic_cases(draw):
+    """(counts, replicates, seed): up to 8 x 12, mostly zero cells, totals 1..20 000."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    counts = draw(
+        hnp.arrays(np.int64, (rows, cols), elements=st.sampled_from([0, 0, 0, 1, 2, 9, 40]))
+    )
+    counts[counts.sum(axis=1) == 0, draw(st.integers(0, cols - 1))] = 1
+    counts *= draw(st.integers(1, 20_000 // int(counts.sum())))
+    if draw(st.booleans()):
+        # one row holds all but a few records: its conditional p comes
+        # within about 1/total of 1
+        counts[draw(st.integers(0, rows - 1)), 0] += 20_000 - int(counts.sum())
+    replicates = draw(st.sampled_from([1, 2, 3]) | st.integers(200, 400))
+    return counts, replicates, draw(st.integers(0, 2**32 - 1))
+
 
 
 class TestMimicTable:
@@ -83,6 +147,22 @@ class TestVectorizedCeSamples:
         )
         assert abs(fast.mean() - slow.mean()) < 4.0 * slow.std() / np.sqrt(1000)
         assert abs(fast.std() - slow.std()) < 0.25 * slow.std()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mimic_cases())
+@example(([[1]], 1, 0))
+@example(([[19_999], [1]], 300, 1))
+@example(([[0, 12_000, 0, 8_000]], 2, 2))
+def test_mimic_ce_samples_matches_the_reference_loop_bit_for_bit(case):
+    counts, replicates, seed = case
+    table = table_from_counts(counts)
+    rng, reference_rng = child_rng(seed), child_rng(seed)
+    samples = mimic_ce_samples(table, replicates, rng)
+    expected = reference_mimic_ce_samples(table, replicates, reference_rng)
+    assert samples.tobytes() == expected.tobytes()
+    # the same binomial draws, so the stream is left in the same place
+    assert plain(rng.bit_generator.state) == plain(reference_rng.bit_generator.state)
 
 
 class TestNullBand:
