@@ -57,39 +57,17 @@ class RunConfig:
     response: tuple = ()
     covariates: tuple = ()
     categorize: dict = field(default_factory=dict)
-    max_order: int = 2
-    replicates: int = 1000
-    seed: int = 0
-    threads: int = 1
-    r_int: float = 3.0
-    cell_floor: float = 1.0
-    noise_features: tuple = ()
+    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
     out_format: str = "tsv"
 
     def __post_init__(self):
         if self.out_format not in ("tsv", "json"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
-        self.protocol()
         overlap = set(self.response) & set(self.covariates)
         if overlap:
             raise ConfigError(
                 f"columns cannot be both response and covariate: {sorted(overlap)}"
             )
-
-    def protocol(self) -> ProtocolConfig:
-        """This run's selection settings; a value ``ProtocolConfig`` rejects is a ConfigError."""
-        try:
-            return ProtocolConfig(
-                max_order=self.max_order,
-                replicates=self.replicates,
-                seed=self.seed,
-                r_int=self.r_int,
-                cell_floor=self.cell_floor,
-                noise_features=self.noise_features,
-                threads=self.threads,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def digest(self) -> str:
         blob = json.dumps(
@@ -98,12 +76,12 @@ class RunConfig:
                 "response": list(self.response),
                 "covariates": list(self.covariates),
                 "categorize": {k: list(v) for k, v in sorted(self.categorize.items())},
-                "max_order": self.max_order,
-                "replicates": self.replicates,
-                "seed": self.seed,
-                "r_int": self.r_int,
-                "cell_floor": self.cell_floor,
-                "noise": list(self.noise_features),
+                "max_order": self.protocol.max_order,
+                "replicates": self.protocol.replicates,
+                "seed": self.protocol.seed,
+                "r_int": self.protocol.r_int,
+                "cell_floor": self.protocol.cell_floor,
+                "noise": list(self.protocol.noise_features),
             },
             sort_keys=True,
         )
@@ -153,12 +131,17 @@ def _load_json_object(path: str, what: str) -> dict:
     return obj
 
 
+# The ProtocolConfig fields a flag or config file can set.  A given value is
+# converted to the type of the field's default; a field neither gives keeps it.
+_PROTOCOL_FIELDS = ("max_order", "replicates", "seed", "threads", "r_int", "cell_floor")
+
+
 def build_run_config(args) -> RunConfig:
     file_cfg = (
         _load_json_object(args.config, "config file") if getattr(args, "config", None) else {}
     )
 
-    def pick(name, flag_value, default):
+    def pick(name, flag_value, default=None):
         if flag_value is not None:
             return flag_value
         return file_cfg.get(name, default)
@@ -175,33 +158,36 @@ def build_run_config(args) -> RunConfig:
             (k, tuple(v)) for k, v in file_cfg.get("categorize", {}).items()
         )
         categorize.update(_parse_categorize(getattr(args, "categorize", None)))
+        given = {
+            name: type(getattr(ProtocolConfig, name))(pick(name, getattr(args, name, None)))
+            for name in _PROTOCOL_FIELDS
+            if getattr(args, name, None) is not None or name in file_cfg
+        }
+        noise = names("noise_features", getattr(args, "noise", None))
+        try:
+            protocol = ProtocolConfig(noise_features=noise, **given)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         config = RunConfig(
-            input_path=pick("input", getattr(args, "input", None), None),
+            input_path=pick("input", getattr(args, "input", None)),
             response=names("response", getattr(args, "response", None)),
             covariates=names("covariates", getattr(args, "covariates", None)),
             categorize=categorize,
-            max_order=int(pick("max_order", getattr(args, "max_order", None), 2)),
-            replicates=int(pick("replicates", getattr(args, "replicates", None), 1000)),
-            seed=int(pick("seed", getattr(args, "seed", None), 0)),
-            threads=int(pick("threads", getattr(args, "threads", None), 1)),
-            r_int=float(pick("r_int", getattr(args, "r_int", None), 3.0)),
-            cell_floor=float(pick("cell_floor", getattr(args, "cell_floor", None), 1.0)),
-            noise_features=names("noise_features", getattr(args, "noise", None)),
+            protocol=protocol,
             out_format=pick("format", getattr(args, "format", None), "tsv"),
         )
     except (AttributeError, TypeError, ValueError) as exc:
         # a config file value of the wrong type, e.g. {"r_int": "abc"}
         raise ConfigError(f"bad config value: {exc}") from exc
-    max_order_given = getattr(args, "max_order", None) is not None or "max_order" in file_cfg
-    if max_order_given and config.covariates:
+    if "max_order" in given and config.covariates:
         _check_max_order(config)
     return config
 
 
 def _check_max_order(config: RunConfig):
-    if config.max_order > len(config.covariates):
+    if config.protocol.max_order > len(config.covariates):
         raise ConfigError(
-            f"max-order {config.max_order} exceeds the number of covariates "
+            f"max-order {config.protocol.max_order} exceeds the number of covariates "
             f"({len(config.covariates)})"
         )
 
@@ -264,6 +250,21 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
     }
 
 
+def _require_numeric(config: RunConfig, columns):
+    """K-means clusters numbers: a column declared categorical is a ConfigError."""
+    for c in columns:
+        if config.categorize.get(c, ("", 0))[0] == "categorical":
+            raise ConfigError(f"column {c!r}: K-means cannot cluster a categorical column")
+
+
+def _quantile_scheme(name: str, values: np.ndarray, k: int) -> BinningScheme:
+    """The column's 1+K+1 scheme; a column that cannot be binned is a DataError."""
+    try:
+        return quantile_bins(values, k)
+    except ValueError as exc:
+        raise DataError(f"column {name!r}: {exc}") from exc
+
+
 def _categorize_column(name: str, values: np.ndarray, config: RunConfig) -> CategoricalSeries:
     method, k = config.categorize.get(name, ("quantile", 10))
     if method == "categorical":
@@ -275,11 +276,7 @@ def _categorize_column(name: str, values: np.ndarray, config: RunConfig) -> Cate
         )
     if method == "kmeans":
         return _kmeans_series(name, values, k, config)
-    try:
-        scheme = quantile_bins(values, k)
-    except ValueError as exc:
-        raise DataError(f"column {name!r}: {exc}") from exc
-    return apply_bins(values, scheme)
+    return apply_bins(values, _quantile_scheme(name, values, k))
 
 
 def _kmeans_series(name: str, values: np.ndarray, k: int, config: RunConfig) -> CategoricalSeries:
@@ -287,7 +284,7 @@ def _kmeans_series(name: str, values: np.ndarray, k: int, config: RunConfig) -> 
         raise ConfigError(
             f"column {name!r}: kmeans:{k} asks for more clusters than the {len(values)} rows"
         )
-    return fuse_features(values, k, seed=config.seed, sort_centroids=True)
+    return fuse_features(values, k, seed=config.protocol.seed, sort_centroids=True)
 
 
 def _build_series(data, config: RunConfig):
@@ -300,6 +297,7 @@ def _build_series(data, config: RunConfig):
         response = _categorize_column(config.response[0], data[config.response[0]], config)
     else:
         # multi-column response: K-means fusion on the stacked coordinates
+        _require_numeric(config, config.response)
         block = np.column_stack([data[c] for c in config.response])
         k = config.categorize.get(config.response[0], ("kmeans", 10))[1]
         response = _kmeans_series(",".join(config.response), block, k, config)
@@ -337,7 +335,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _provenance(config: RunConfig) -> dict:
-    return {"config_digest": config.digest(), "seed": config.seed}
+    return {"config_digest": config.digest(), "seed": config.protocol.seed}
 
 
 def _write_report(config: RunConfig, out_path: str | None, fields: dict, tsv_lines: list):
@@ -349,7 +347,7 @@ def _write_report(config: RunConfig, out_path: str | None, fields: dict, tsv_lin
     if config.out_format == "json":
         text = json.dumps({**_provenance(config), **fields}, indent=2)
     else:
-        text = "\n".join([f"# config {config.digest()} seed {config.seed}", *tsv_lines])
+        text = "\n".join([f"# config {config.digest()} seed {config.protocol.seed}", *tsv_lines])
     _emit(text + "\n", out_path)
 
 
@@ -357,9 +355,32 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _run_config(args) -> RunConfig:
+    config = build_run_config(args)
+    if not config.input_path:
+        raise ConfigError(f"{args.command} requires --input")
+    return config
+
+
+def _load(args) -> tuple[RunConfig, dict, CategoricalSeries]:
+    """The run's config, covariate series and response series, read from ``--input``."""
+    config = _run_config(args)
+    return (config, *_build_series(ingest_csv(config.input_path, config), config))
+
+
+def _subset_tables(args) -> tuple[RunConfig, list]:
+    """The run's config and a (subset, table) pair per ``--subsets`` entry."""
+    config, covs, response = _load(args)
+    subsets = _parse_subsets(args.subsets, config)
+    return config, [(s, crosstab(tuple(covs[c] for c in s), response)) for s in subsets]
+
+
 def cmd_simulate(args) -> int:
     config = build_run_config(args)
-    spec = GeneratorSpec(example_id=args.example, n=args.n, seed=config.seed)
+    try:
+        spec = GeneratorSpec(example_id=args.example, n=args.n, seed=config.protocol.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     data = sample(spec)
     names = list(data)
     n = len(next(iter(data.values())))
@@ -373,14 +394,12 @@ def cmd_simulate(args) -> int:
             )
         )
     _emit("\n".join(lines) + "\n", args.out)
-    _log(f"simulate {args.example}: {n} rows, seed {config.seed}")
+    _log(f"simulate {args.example}: {n} rows, seed {spec.seed}")
     return 0
 
 
 def cmd_bins(args) -> int:
-    config = build_run_config(args)
-    if not config.input_path:
-        raise ConfigError("bins requires --input")
+    config = _run_config(args)
     if args.replay:
         schemes = _load_json_object(args.replay, "replay file")
         cols = list(schemes)
@@ -409,30 +428,21 @@ def cmd_bins(args) -> int:
         method, k = config.categorize.get(c, ("quantile", 10))
         if method != "quantile":
             continue
-        out[c] = json.loads(quantile_bins(data[c], k).to_json())
+        out[c] = json.loads(_quantile_scheme(c, data[c], k).to_json())
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_measure(args) -> int:
-    config = build_run_config(args)
-    if not config.input_path:
-        raise ConfigError("measure requires --input")
-    data = ingest_csv(config.input_path, config)
-    covs, response = _build_series(data, config)
-    subsets = _parse_subsets(args.subsets, config)
-    reports = []
-    for subset in subsets:
-        table = crosstab(tuple(covs[c] for c in subset), response)
-        reports.append((subset, entropy_report(table)))
+    config, tables = _subset_tables(args)
+    reports = [(s, entropy_report(t), t.total) for s, t in tables]
     fields = {
         "reports": [
-            {"subset": list(s), **json.loads(r.to_json(total=len(response)))}
-            for s, r in reports
+            {"subset": list(s), **json.loads(r.to_json(total=n))} for s, r, n in reports
         ]
     }
     lines = ["subset\trows\tcols\th_y\th_y_given_a\tmi"]
-    for s, r in reports:
+    for s, r, _ in reports:
         lines.append(
             f"{'+'.join(s)}\t{r.rows}\t{r.cols}\t{r.h_y:.6f}\t"
             f"{r.h_y_given_a:.6f}\t{r.mutual_info:.6f}"
@@ -442,17 +452,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_null(args) -> int:
-    config = build_run_config(args)
-    if not config.input_path:
-        raise ConfigError("null requires --input")
-    data = ingest_csv(config.input_path, config)
-    covs, response = _build_series(data, config)
-    subsets = _parse_subsets(args.subsets, config)
+    config, tables = _subset_tables(args)
+    protocol = config.protocol
     rows = []
-    for j, subset in enumerate(subsets):
-        table = crosstab(tuple(covs[c] for c in subset), response)
+    for j, (subset, table) in enumerate(tables):
         band = null_band(
-            table, "mutual_information", config.replicates, child_rng(config.seed, 10, j)
+            table, "mutual_information", protocol.replicates, child_rng(protocol.seed, 10, j)
         )
         verdict = c1_test(mutual_information(table), band)
         rows.append((subset, verdict))
@@ -481,11 +486,10 @@ def cmd_null(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    config = build_run_config(args)
-    if not config.input_path:
-        raise ConfigError("grid requires --input")
+    config = _run_config(args)
     if len(config.response) != 1 or len(config.covariates) != 1:
         raise ConfigError("grid needs exactly one response and one covariate column")
+    _require_numeric(config, config.response + config.covariates)
     data = ingest_csv(config.input_path, config)
     try:
         y_ladder = [int(v) for v in args.y_ladder.split(",")]
@@ -501,9 +505,9 @@ def cmd_grid(args) -> int:
         data[config.covariates[0]],
         y_ladder,
         x_ladder,
-        n_replicates=config.replicates,
-        seed=config.seed,
-        threads=config.threads,
+        n_replicates=config.protocol.replicates,
+        seed=config.protocol.seed,
+        threads=config.protocol.threads,
     )
     fields = {
         "cells": [
@@ -528,14 +532,16 @@ def cmd_grid(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config = build_run_config(args)
-    if not config.input_path:
-        raise ConfigError("select requires --input")
-    data = ingest_csv(config.input_path, config)
-    covs, response = _build_series(data, config)
+    config, covs, response = _load(args)
     _check_max_order(config)
-    _log(f"select: {len(covs)} covariates, max order {config.max_order}")
-    evaluator = SubsetEvaluator(covs, response, config.protocol())
+    # only select reads --noise, so a config file shared with measure may name any
+    unknown = [c for c in config.protocol.noise_features if c not in config.covariates]
+    if unknown:
+        raise ConfigError(f"noise features must be covariates, got {unknown}")
+    if len(response) < 3:  # synthetic noise features are binned 1+K+1, which takes 3 values
+        raise DataError(f"select needs at least 3 rows, got {len(response)}")
+    _log(f"select: {len(covs)} covariates, max order {config.protocol.max_order}")
+    evaluator = SubsetEvaluator(covs, response, config.protocol)
     ledger = build_ledger(evaluator)
     report = select_major_factors(evaluator)
     ledger_tsv = ledger_to_tsv(ledger)

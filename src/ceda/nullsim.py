@@ -22,17 +22,14 @@ from ceda.tabulate import (
     ContingencyTable,
     column_margin_entropy,
     crosstab,  # noqa: F401  (unused; bench/test_bench.py expects the tracer to wrap it here)
-    per_column_row_entropy,
 )
 from ceda.categorize import apply_bins, quantile_bins
 
 __all__ = [
     "C1Verdict",
-    "ColumnVerdict",
     "NullBand",
     "c1_test",
     "child_rng",
-    "localize_differences",
     "mimic_ce_samples",
     "mimic_table",
     "null_band",
@@ -206,53 +203,6 @@ def c1_test(observed: float, band: NullBand) -> C1Verdict:
     else:
         excess = 0.0
     return C1Verdict(observed=float(observed), band=band, status=status, excess_sd=excess)
-
-
-@dataclass(frozen=True)
-class ColumnVerdict:
-    """Per-response-column comparison of the observed row mix to its null."""
-
-    column: object
-    observed: float
-    band: NullBand
-    flagged: bool
-
-
-def localize_differences(
-    table: ContingencyTable,
-    n_replicates: int = 1000,
-    rng: np.random.Generator | int | None = None,
-) -> list[ColumnVerdict]:
-    """Flag response columns whose row-mix entropy falls outside its null band.
-
-    Each column's null redraws its total from a multinomial over the rows
-    with the observed row-margin proportions.  A single-column table has
-    nothing to localize (the column is the margin) and is never flagged.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = child_rng(0 if rng is None else int(rng))
-    probs = table.row_margin / table.total
-    observed = per_column_row_entropy(table)
-    out = []
-    for c, (key, obs) in enumerate(observed):
-        n_c = int(table.col_margin[c])
-        draws = rng.multinomial(n_c, probs, size=n_replicates).astype(float)
-        totals = draws.sum(axis=1)
-        totals[totals == 0] = 1.0
-        pos = draws > 0
-        xlogx = np.where(pos, draws * np.log(np.where(pos, draws, 1.0)), 0.0)
-        ents = np.log(np.maximum(totals, 1.0)) - xlogx.sum(axis=1) / totals
-        ents[draws.sum(axis=1) == 0] = 0.0
-        band = band_from_samples("column_row_entropy", ents)
-        out.append(
-            ColumnVerdict(
-                column=key,
-                observed=obs,
-                band=band,
-                flagged=table.cols > 1 and (obs > band.q975 or obs < band.q025),
-            )
-        )
-    return out
 
 
 def synthetic_noise_series(

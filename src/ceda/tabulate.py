@@ -9,7 +9,6 @@ or smoothing is applied anywhere.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -24,10 +23,7 @@ __all__ = [
     "crosstab",
     "entropy_report",
     "fuse_labels",
-    "joint_entropy",
     "mutual_information",
-    "per_column_row_entropy",
-    "table_to_tsv",
 ]
 
 #: floating-point slack below which a negative mutual information is clamped to 0
@@ -133,13 +129,12 @@ class EntropyReport:
     mutual_info: float
     rows: int
     cols: int
-    avg_cell_count: float
 
-    def to_json(self, total: int | None = None) -> str:
+    def to_json(self, total: int) -> str:
         obj = {
             "rows": self.rows,
             "cols": self.cols,
-            "total": total if total is not None else round(self.avg_cell_count * self.rows * self.cols),
+            "total": total,
             "h_y": self.h_y,
             "h_y_given_a": self.h_y_given_a,
             "mi": self.mutual_info,
@@ -250,26 +245,6 @@ def mutual_information(table: ContingencyTable) -> float:
     return mi
 
 
-def joint_entropy(table: ContingencyTable) -> float:
-    """Entropy of the joint cell distribution, H[Y, A]."""
-    if table.total <= 0:
-        raise ValueError("table total must be positive")
-    return counts_entropy(table.counts.ravel())
-
-
-def per_column_row_entropy(table: ContingencyTable) -> list[tuple]:
-    """For each response column, the entropy of the row-label mix inside it.
-
-    Returns (column_key, nats) pairs; an empty column contributes 0.
-    """
-    if table.total <= 0:
-        raise ValueError("table total must be positive")
-    out = []
-    for c in range(table.cols):
-        out.append((table.col_keys[c], counts_entropy(table.counts[:, c])))
-    return out
-
-
 def entropy_report(table: ContingencyTable) -> EntropyReport:
     h_y = column_margin_entropy(table)
     h_cond = conditional_entropy(table)
@@ -282,16 +257,5 @@ def entropy_report(table: ContingencyTable) -> EntropyReport:
         mutual_info=mi,
         rows=table.rows,
         cols=table.cols,
-        avg_cell_count=table.avg_cell_count,
     )
 
-
-def table_to_tsv(table: ContingencyTable) -> str:
-    """Serialize a table: row-key columns first, then one column per response category."""
-    buf = io.StringIO()
-    key_width = len(table.row_keys[0]) if table.row_keys else 1
-    header = [f"key{i}" for i in range(key_width)] + [str(k) for k in table.col_keys]
-    buf.write("\t".join(header) + "\n")
-    for key, row in zip(table.row_keys, table.counts):
-        buf.write("\t".join([str(k) for k in key] + [str(int(v)) for v in row]) + "\n")
-    return buf.getvalue()

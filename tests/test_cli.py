@@ -1,14 +1,18 @@
 """Command-line workflows: ingestion, reports, exit codes, provenance."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ceda.protocol
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import fuse_features, quantile_bins, apply_bins
 from ceda.genlab import GeneratorSpec, sample
+from ceda.protocol import ProtocolConfig
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
 from conftest import count_fusion_calls
 
@@ -89,9 +93,9 @@ class TestRunConfig:
             RunConfig(out_format="xml")
 
     def test_digest_stable_and_sensitive(self):
-        a = RunConfig(seed=1)
-        b = RunConfig(seed=1)
-        c = RunConfig(seed=2)
+        a = RunConfig(protocol=ProtocolConfig(seed=1))
+        b = RunConfig(protocol=ProtocolConfig(seed=1))
+        c = RunConfig(protocol=ProtocolConfig(seed=2))
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
@@ -230,6 +234,81 @@ class TestExitCodes:
         )
         assert code == 3
         assert err.startswith(f"config error: column {column}: kmeans:9")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["bins", "measure"])
+    @pytest.mark.parametrize(
+        "column, directive, message",
+        [
+            ("X", "X=quantile:10", "too few values"),
+            ("C", "C=quantile:2", "zero width"),
+        ],
+        ids=["more-bins-than-rows", "constant-column"],
+    )
+    def test_column_quantile_binning_cannot_bin_is_exit_2(
+        self, capsys, tmp_path, command, column, directive, message
+    ):
+        path = tmp_path / "d.csv"
+        path.write_text("Y,X,C\n" + "".join(f"{i},{i * i},7\n" for i in range(6)))
+        code, out, err = run(
+            capsys, command, "--input", str(path), "--response", "Y",
+            "--covariates", column, "--categorize", f"Y=quantile:2,{directive}",
+        )
+        assert code == 2
+        assert err.startswith(f"data error: column {column!r}:") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("grid", "--response", "G", "--covariates", "X", "--categorize", "G=categorical",
+             "--y-ladder", "2", "--x-ladder", "2"),
+            ("measure", "--response", "Y,G", "--covariates", "X",
+             "--categorize", "G=categorical"),
+        ],
+        ids=["grid", "fused-response"],
+    )
+    def test_kmeans_on_a_categorical_column_is_exit_3(self, capsys, tmp_path, argv):
+        path = tmp_path / "d.csv"
+        path.write_text("Y,X,G\n" + "".join(f"{i},{i % 4},{'ab'[i % 2]}\n" for i in range(12)))
+        code, out, err = run(capsys, *argv, "--input", str(path), "--replicates", "20")
+        assert code == 3
+        assert err.startswith("config error: column 'G': K-means")
+        assert out == ""
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_simulate_row_count_below_one_is_exit_3(self, capsys, n):
+        code, out, err = run(capsys, "simulate", "--example", "ex4", "--n", n)
+        assert code == 3
+        assert err.startswith("config error: n must be >= 1")
+        assert out == ""
+
+    def test_select_noise_feature_outside_the_covariates_is_exit_3(
+        self, capsys, tmp_path, ex4_csv
+    ):
+        shared = tmp_path / "cfg.json"
+        shared.write_text(json.dumps({"noise_features": ["X2", "Z9"]}))
+        argv = ("--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+                "--config", str(shared), "--replicates", "20")
+        code, out, err = run(capsys, "select", *argv)
+        assert code == 3
+        assert err.startswith("config error: noise features must be covariates")
+        assert "'Z9'" in err and "'X2'" not in err
+        assert out == ""
+        # measure does not read the noise features, so the shared file still works
+        code, out, _ = run(capsys, "measure", *argv)
+        assert code == 0 and out.startswith("# config ")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_select_on_fewer_than_three_rows_is_exit_2(self, capsys, tmp_path, n):
+        path = tmp_path / "d.csv"
+        path.write_text("Y,X1,X2\n" + "".join(f"{i},{i},{i}\n" for i in range(n)))
+        code, out, err = run(
+            capsys, "select", "--input", str(path), "--response", "Y", "--covariates", "X1,X2",
+            "--categorize", "Y=categorical,X1=categorical,X2=kmeans:1", "--replicates", "5",
+        )
+        assert code == 2
+        assert err.startswith(f"data error: select needs at least 3 rows, got {n}")
         assert out == ""
 
 
@@ -475,3 +554,82 @@ def test_report_bytes_do_not_depend_on_thread_count(capsys, ex4_csv, command, ou
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+CELLS = {
+    "spread": lambda i: f"{(i * 7919) % 13 / 3:.3f}",
+    "few": lambda i: str(i % 3),
+    "constant": lambda i: "5",
+    "labels": lambda i: "ab"[i % 2],
+}
+BAD_CELLS = ("nan", "inf", "-inf", "", "abc")
+# flag: (values in range or at a bound, values past a bound)
+FLAGS = {
+    "--replicates": (["2", "5", "20"], ["0", "1"]),
+    "--max-order": (["1", "2"], ["0", "3"]),
+    "--threads": (["1", "2"], ["0"]),
+    "--r-int": (["3", "0.5"], ["nan", "-1", "0", "inf"]),
+    "--cell-floor": (["0", "1"], ["-1", "nan"]),
+    "--noise": (["X2"], ["Z9", "Y"]),
+    "--subsets": (["X1", "X1+X2"], ["X1+X1", "Z9", ","]),
+    "--categorize": (
+        ["quantile:1", "quantile:3", "kmeans:1", "kmeans:3", "categorical"],
+        ["quantile:400", "kmeans:400", "quantile:0"],
+    ),
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """A small CSV with awkward columns, and one command with flags at or past their bounds."""
+
+    def value(flag):
+        good, bad = FLAGS[flag]
+        return draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 9 else good))
+
+    n = draw(st.integers(1, 30))
+    header = ["Y", "X1", "X2"]
+    if draw(st.integers(0, 9)) == 9:
+        header[2] = "X1"
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from(["spread"] * 4 + ["few", "constant", "labels"]))
+        cells = [CELLS[kind](i) for i in range(n)]
+        if draw(st.integers(0, 9)) == 9:
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_CELLS))
+        columns.append(cells)
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+
+    command = draw(st.sampled_from(["measure", "null", "bins", "select"]))
+    roles = draw(
+        st.sampled_from([("Y", "X1,X2")] * 3 + [("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y")])
+    )
+    argv = [command, "--response", roles[0], "--covariates", roles[1]]
+    argv += ["--replicates", value("--replicates")]
+    directives = [f"{c}={value('--categorize')}" for c in header if draw(st.booleans())]
+    if directives:
+        argv += ["--categorize", ",".join(directives)]
+    for flag in ("--max-order", "--threads", "--r-int", "--cell-floor", "--noise", "--subsets"):
+        if (flag != "--subsets" or command in ("measure", "null")) and draw(st.booleans()):
+            argv += [flag, value(flag)]
+    return text, argv + ["--format", draw(st.sampled_from(["tsv", "json"]))]
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_runs())
+def test_exit_code_contract(tmp_path_factory, run_case):
+    """Every input ends in exit 0 with a parseable report, 2 or 3; never in a traceback."""
+    text, argv = run_case
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--input", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        report = out.getvalue()
+        if argv[0] == "bins" or argv[-1] == "json":
+            assert "config_digest" in json.loads(report)
+        else:
+            assert report.startswith("# config ") and "\t" in report

@@ -12,7 +12,6 @@ from ceda.nullsim import (
     band_from_samples,
     c1_test,
     child_rng,
-    localize_differences,
     mimic_ce_samples,
     mimic_table,
     null_band,
@@ -231,31 +230,3 @@ class TestC1Test:
         assert c1_test(2.0, band).excess_sd == float("inf")
         assert c1_test(0.5, band).excess_sd == float("-inf")
         assert c1_test(1.0, band).excess_sd == 0.0
-
-
-class TestLocalizeDifferences:
-    def test_left_tail_bin_flagged_on_shifted_mixture(self, two_normal_data):
-        v1 = CategoricalSeries(labels=two_normal_data["V1"], cardinality=2)
-        t = crosstab(v1, binned(two_normal_data["Y"], 10))
-        verdicts = localize_differences(t, 1000, child_rng(11))
-        assert verdicts[0].flagged  # far left tail is nearly pure group 0
-        assert verdicts[-1].flagged  # far right tail nearly pure group 1
-
-    def test_identical_populations_near_nominal_rate(self):
-        rng = np.random.default_rng(12)
-        flags = total = 0
-        for s in range(10):
-            y = np.concatenate([rng.standard_normal(2000), rng.standard_normal(2000)])
-            v = CategoricalSeries(
-                labels=np.repeat(np.arange(2), 2000), cardinality=2
-            )
-            t = crosstab(v, binned(y, 10))
-            verdicts = localize_differences(t, 500, child_rng(13, s))
-            flags += sum(v.flagged for v in verdicts)
-            total += len(verdicts)
-        assert flags / total <= 0.15
-
-    def test_single_column_never_flagged(self):
-        t = table_from_counts([[7], [9], [4]])
-        verdicts = localize_differences(t, 300, child_rng(14))
-        assert [v.flagged for v in verdicts] == [False]

@@ -19,7 +19,6 @@ from ceda.tabulate import (
     conditional_entropy,
     crosstab,
     fuse_labels,
-    joint_entropy,
     mutual_information,
 )
 from conftest import table_from_counts
@@ -59,7 +58,11 @@ def test_joint_representation_identity(counts):
         p = margin[margin > 0] / margin.sum()
         return float(-(p * np.log(p)).sum())
 
-    alt = h(t.row_margin.astype(float)) + h(t.col_margin.astype(float)) - joint_entropy(t)
+    alt = (
+        h(t.row_margin.astype(float))
+        + h(t.col_margin.astype(float))
+        - h(t.counts.ravel().astype(float))
+    )
     assert abs(mutual_information(t) - alt) < 1e-10
 
 

@@ -13,10 +13,7 @@ from ceda.tabulate import (
     conditional_entropy,
     crosstab,
     entropy_report,
-    joint_entropy,
     mutual_information,
-    per_column_row_entropy,
-    table_to_tsv,
 )
 from conftest import binned, random_table_counts, table_from_counts
 
@@ -124,7 +121,7 @@ class TestEntropies:
             t = table_from_counts(random_table_counts(rng))
             row_h = entropy_of(t.row_margin)
             col_h = entropy_of(t.col_margin)
-            alt = row_h + col_h - joint_entropy(t)
+            alt = row_h + col_h - entropy_of(t.counts.ravel())
             assert mutual_information(t) == pytest.approx(alt, abs=1e-10)
 
     def test_entropy_bounds(self):
@@ -177,44 +174,7 @@ class TestRefinement:
             )
 
 
-class TestPerColumnRowEntropy:
-    def test_small_table(self):
-        t = table_from_counts([[1, 4], [1, 0]])
-        values = dict(per_column_row_entropy(t))
-        assert values[0] == pytest.approx(LN2, abs=1e-12)
-        assert values[1] == 0.0
-
-    def test_balanced_table(self):
-        t = table_from_counts([[3] * 7, [3] * 7])
-        assert all(v == pytest.approx(LN2, abs=1e-12) for _, v in per_column_row_entropy(t))
-
-    def test_mixing_profile_tracks_posterior(self, two_normal_data):
-        # With two unit normals a unit gap apart, the group posterior is a
-        # logistic curve; the mixing entropy per bin should peak near the
-        # midpoint and match the binary entropy of the posterior there.
-        y = binned(two_normal_data["Y"], 10)
-        t = crosstab(series(two_normal_data["V1"]), y)
-        scheme = np.linspace(*np.quantile(two_normal_data["Y"], [0.05, 0.95]), 11)
-        centers = (scheme[:-1] + scheme[1:]) / 2.0
-        observed = dict(per_column_row_entropy(t))
-        for j, center in enumerate(centers):
-            p = 1.0 / (1.0 + math.exp(0.5 - center))  # posterior of group 1
-            expected = -(p * math.log(p) + (1 - p) * math.log(1 - p))
-            assert observed[j + 1] == pytest.approx(expected, abs=0.05)
-        interior = [observed[j] for j in range(1, 11)]
-        assert max(interior) == pytest.approx(LN2, abs=0.01)
-        assert observed[0] < 0.45 and observed[11] < 0.45
-
-
 class TestSerialization:
-    def test_tsv_layout(self):
-        t = table_from_counts([[1, 2], [3, 4]])
-        text = table_to_tsv(t)
-        lines = text.strip().split("\n")
-        assert lines[0] == "key0\t0\t1"
-        assert lines[1] == "0\t1\t2"
-        assert lines[2] == "1\t3\t4"
-
     def test_report_json_fields(self):
         import json
 
