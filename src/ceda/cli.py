@@ -401,7 +401,13 @@ def cmd_simulate(args) -> int:
 def cmd_bins(args) -> int:
     config = _run_config(args)
     if args.replay:
-        schemes = _load_json_object(args.replay, "replay file")
+        # a file `bins` wrote heads its schemes with the provenance keys
+        provenance = _provenance(config)
+        schemes = {
+            c: s
+            for c, s in _load_json_object(args.replay, "replay file").items()
+            if c not in provenance
+        }
         cols = list(schemes)
         if not cols:
             raise ConfigError(f"replay file {args.replay} holds no schemes")

@@ -22,8 +22,8 @@ from ceda.tabulate import (
     ContingencyTable,
     column_margin_entropy,
     crosstab,  # noqa: F401  (unused; bench/test_bench.py expects the tracer to wrap it here)
+    fuse_labels,
 )
-from ceda.categorize import apply_bins, quantile_bins
 
 __all__ = [
     "C1Verdict",
@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 SAMPLE_RETENTION_LIMIT = 10_000
+# Synthetic replicates are drawn and tabulated in blocks of at most this many
+# uniform values (at least one replicate): a block's working arrays grow with
+# it, so the bound keeps the peak memory near that of one replicate at a time.
+SYNTHETIC_BLOCK_VALUES = 16_384
 
 
 def child_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -97,6 +101,12 @@ def band_from_samples(name: str, samples: np.ndarray) -> NullBand:
     )
 
 
+def _xlogx_table(total: int) -> np.ndarray:
+    """k*log(k) for every count k in 0..total; entry 0 is 0.0."""
+    k = np.arange(1, total + 1, dtype=float)
+    return np.concatenate(([0.0], k * np.log(k)))
+
+
 def mimic_table(table: ContingencyTable, rng: np.random.Generator) -> ContingencyTable:
     """One mimic: per response column, a multinomial split over the rows.
 
@@ -137,8 +147,7 @@ def mimic_ce_samples(
     n_rows, n_cols = counts.shape
     total = float(table.total)
     probs = table.row_margin / total
-    k = np.arange(1, table.total + 1, dtype=float)
-    xlogx = np.concatenate(([0.0], k * np.log(k)))
+    xlogx = _xlogx_table(table.total)
 
     remaining = np.broadcast_to(
         table.col_margin, (n_replicates, n_cols)
@@ -206,9 +215,89 @@ def c1_test(observed: float, band: NullBand) -> C1Verdict:
 
 
 def synthetic_noise_series(
-    n: int, n_bins: int, rng: np.random.Generator
-) -> CategoricalSeries:
-    """One i.i.d. uniform feature, binned 1+K+1 like a real covariate."""
-    values = rng.random(n)
-    scheme = quantile_bins(values, max(n_bins - 2, 1))
-    return apply_bins(values, scheme)
+    n: int, n_bins: int, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """Labels of ``count`` i.i.d. uniform features, each binned 1+K+1 like a real covariate.
+
+    Returns a ``(count, n)`` label array; row i is feature i.  The features
+    are drawn as one ``rng.random((count, n))``, which takes the same values
+    from the stream as ``count`` successive ``rng.random(n)`` calls.  Each row
+    gets its own ``quantile_bins`` scheme with K = ``max(n_bins - 2, 1)``
+    (the 5%-95% quantile range cut into K equal-width bins), and a label is
+    the number of the row's edges strictly below the value, as in
+    ``apply_bins``.  Rows are therefore labelled exactly as one feature at a
+    time would be, bit for bit.
+    """
+    k = max(n_bins - 2, 1)
+    if n < k + 2:
+        raise ValueError("too few values for the requested bin count")
+    values = rng.random((count, n))
+    lo, hi = np.quantile(values, [0.05, 0.95], axis=1)
+    edges = np.linspace(lo, hi, k + 1, axis=1)
+    if not (np.diff(edges, axis=1) > 0).all():
+        raise ValueError("degenerate feature: quantile range has zero width")
+    labels = np.zeros((count, n), dtype=np.int64)
+    for j in range(k + 1):
+        labels += values > edges[:, j, None]
+    return labels
+
+
+def synthetic_ce_samples(
+    base: tuple,
+    response: CategoricalSeries,
+    pad: int,
+    n_bins: int,
+    replicates: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """H[response | base + ``pad`` synthetic noise features], once per replicate.
+
+    Replicate r draws its ``pad`` features (see ``synthetic_noise_series``)
+    right after replicate r - 1's, so the samples and the generator's final
+    state are those of drawing, cross-tabulating and measuring one replicate
+    at a time with ``crosstab`` and ``conditional_entropy``, bit for bit.
+
+    Replicates are handled in blocks of at most ``SYNTHETIC_BLOCK_VALUES``
+    uniform values.  A block's records are fused with their replicate index
+    first, so each replicate's occupied rows come out together and in
+    ``crosstab``'s row order; one bincount counts every cell of the block,
+    and each replicate's entropy sums its own contiguous run of x*log(x)
+    terms (zero cells included), as ``conditional_entropy`` sums its table's.
+    """
+    n = len(response)
+    xlogx = _xlogx_table(n)
+    block = max(1, SYNTHETIC_BLOCK_VALUES // (n * pad))
+    samples = []
+    for first in range(0, replicates, block):
+        b = min(block, replicates - first)
+        # a block's arrays are freed when _block_ce returns, before the next draw
+        samples += _block_ce(
+            base,
+            response,
+            synthetic_noise_series(n, n_bins, rng, b * pad).reshape(b, pad, n),
+            max(n_bins, 3),
+            xlogx,
+        )
+    return np.asarray(samples)
+
+
+def _block_ce(
+    base: tuple, response: CategoricalSeries, noise: np.ndarray, card: int, xlogx: np.ndarray
+) -> list:
+    """H[response | base + noise[r]] for each replicate r of a ``(b, pad, n)`` label block."""
+    b, pad, n = noise.shape
+    n_cols = response.cardinality
+    series = [CategoricalSeries(np.repeat(np.arange(b), n), b)]
+    series += [CategoricalSeries(np.tile(s.labels, b), s.cardinality) for s in base]
+    series += [CategoricalSeries(noise[:, j].ravel(), card) for j in range(pad)]
+    rows, keys = fuse_labels(series)
+    n_rows = keys.shape[0]
+    cells = np.bincount(rows * n_cols + np.tile(response.labels, b), minlength=n_rows * n_cols)
+    row_terms = xlogx[np.bincount(rows, minlength=n_rows)]
+    ces = []
+    start = 0
+    for stop in np.cumsum(np.bincount(keys[:, 0], minlength=b)).tolist():
+        h = (row_terms[start:stop].sum() - xlogx[cells[start * n_cols : stop * n_cols]].sum()) / n
+        ces.append(max(h, 0.0))
+        start = stop
+    return ces

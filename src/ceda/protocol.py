@@ -9,7 +9,10 @@ feature's noise level at the same order.  One rule gives every noise level:
 each combination of designated noise features outside the subset gives one
 sample, and with fewer than two such samples, synthetic uniform features
 binned with the covariates' ladder are drawn on top.  A level is
-``synthetic`` exactly when such features were drawn.
+``synthetic`` exactly when such features were drawn.  The synthetic
+replicates are drawn and tabulated in blocks
+(``nullsim.synthetic_ce_samples``) from the same stream as one replicate at
+a time, so each level is unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,7 +41,7 @@ from ceda.nullsim import (
     c1_test,
     child_rng,
     null_band,
-    synthetic_noise_series,
+    synthetic_ce_samples,
 )
 
 __all__ = [
@@ -295,10 +299,10 @@ class SubsetEvaluator:
                 else:
                     rng = child_rng(cfg.seed, 90, order)
                     replicates, base = cfg.ref_replicates, ()
-                n_bins = self._bins_for_noise()
-                for _ in range(replicates):
-                    cols = tuple(synthetic_noise_series(self.n, n_bins, rng) for _ in range(pad))
-                    samples.append(conditional_entropy(crosstab(base + cols, self.response)))
+                drawn = synthetic_ce_samples(
+                    base, self.response, pad, self._bins_for_noise(), replicates, rng
+                )
+                samples = np.concatenate([samples, drawn])
             samples = np.asarray(samples)
             return samples, band_from_samples("conditional_entropy", samples), synthetic
 
@@ -306,8 +310,6 @@ class SubsetEvaluator:
 
 
 def _subset_tag(subset: tuple) -> int:
-    import zlib
-
     return zlib.crc32("|".join(str(f) for f in subset).encode())
 
 
@@ -484,20 +486,34 @@ def ledger_to_tsv(entries) -> str:
 
 
 def _maximal_coexistent_sets(candidates, conflicts) -> list[tuple]:
-    """All maximal candidate subsets containing no conflicting pair."""
+    """All maximal candidate subsets containing no conflicting pair.
+
+    They are the maximal cliques of the compatibility graph (two candidates
+    are joined unless they conflict), found by Bron-Kerbosch with pivoting.
+    Larger sets come first, and sets of one size in the order
+    ``itertools.combinations`` gives their candidate positions.
+    """
     candidates = list(candidates)
-    sets = []
-    for r in range(len(candidates), 0, -1):
-        for combo in itertools.combinations(candidates, r):
-            if any(
-                frozenset((a, b)) in conflicts
-                for a, b in itertools.combinations(combo, 2)
-            ):
-                continue
-            if any(set(combo) <= set(s) for s in sets):
-                continue
-            sets.append(combo)
-    return sets
+    compatible = [
+        {j for j, b in enumerate(candidates) if j != i and frozenset((a, b)) not in conflicts}
+        for i, a in enumerate(candidates)
+    ]
+    cliques = []
+
+    def extend(clique, pool, done):
+        if not pool and not done:
+            cliques.append(tuple(sorted(clique)))
+            return
+        pivot = max(pool | done, key=lambda u: len(pool & compatible[u]))
+        for v in pool - compatible[pivot]:
+            extend(clique + [v], pool & compatible[v], done & compatible[v])
+            pool = pool - {v}
+            done = done | {v}
+
+    if candidates:
+        extend([], set(range(len(candidates))), set())
+    cliques.sort(key=lambda c: (-len(c), c))
+    return [tuple(candidates[i] for i in c) for c in cliques]
 
 
 def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:

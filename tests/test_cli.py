@@ -406,6 +406,23 @@ class TestBinsCommand:
         expected = apply_bins(data["Y"], quantile_bins(data["Y"], 10)).labels
         assert labels == expected.tolist()
 
+    def test_replay_of_its_own_output_skips_the_provenance_keys(self, capsys, tmp_path, ex1_csv):
+        scheme_path = tmp_path / "schemes.json"
+        code, _, _ = run(
+            capsys, "bins", "--input", ex1_csv, "--response", "Y",
+            "--covariates", "V1", "--categorize", "V1=categorical",
+            "--out", str(scheme_path),
+        )
+        assert code == 0
+        assert {"config_digest", "seed", "Y"} == set(json.loads(scheme_path.read_text()))
+        code, out, err = run(capsys, "bins", "--input", ex1_csv, "--replay", str(scheme_path))
+        assert (code, err) == (0, "")
+        header, *rows = out.strip().split("\n")
+        assert header == "Y"
+        data = sample(GeneratorSpec("ex1", 4000, seed=2))
+        expected = apply_bins(data["Y"], quantile_bins(data["Y"], 10)).labels
+        assert [int(r) for r in rows] == expected.tolist()
+
     def test_replay_of_a_column_the_csv_lacks_is_exit_2(self, capsys, tmp_path, ex1_csv):
         replay_path = tmp_path / "z.json"
         scheme = quantile_bins(np.arange(50.0), 10).to_json()

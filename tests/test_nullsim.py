@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ceda.categorize import fuse_features
+from ceda.categorize import apply_bins, fuse_features, quantile_bins
 from ceda.genlab import GeneratorSpec, sample
 from ceda.nullsim import (
+    SYNTHETIC_BLOCK_VALUES,
     NullBand,
     band_from_samples,
     c1_test,
@@ -15,6 +16,8 @@ from ceda.nullsim import (
     mimic_ce_samples,
     mimic_table,
     null_band,
+    synthetic_ce_samples,
+    synthetic_noise_series,
 )
 from ceda.tabulate import (
     CategoricalSeries,
@@ -62,6 +65,18 @@ def reference_mimic_ce_samples(table, n_replicates, rng):
     return np.maximum(ce, 0.0)
 
 
+def reference_synthetic_ce_samples(base, response, pad, n_bins, replicates, rng):
+    """One replicate at a time: draw, bin, cross-tabulate and measure; kept as the oracle."""
+    samples = []
+    for _ in range(replicates):
+        cols = []
+        for _ in range(pad):
+            values = rng.random(len(response))
+            cols.append(apply_bins(values, quantile_bins(values, max(n_bins - 2, 1))))
+        samples.append(conditional_entropy(crosstab(tuple(base) + tuple(cols), response)))
+    return np.asarray(samples)
+
+
 def plain(state):
     """A bit generator's state with its arrays as lists, so states compare with ==."""
     if isinstance(state, dict):
@@ -85,6 +100,34 @@ def mimic_cases(draw):
     replicates = draw(st.sampled_from([1, 2, 3]) | st.integers(200, 400))
     return counts, replicates, draw(st.integers(0, 2**32 - 1))
 
+
+
+@st.composite
+def synthetic_cases(draw):
+    """(base, response, pad, n_bins, replicates, seed) for one synthetic noise level.
+
+    n runs from the least a 1+K+1 scheme allows (K + 2) up to 4 000 records.
+    Where a block holds at most 40 replicates (n * pad above about 400), the
+    replicate count reaches past the second block boundary.  Base and
+    response series may declare categories no record takes.
+    """
+    n_bins = draw(st.sampled_from([2, 3, 12, 102]))
+    least = max(n_bins, 3)
+    n = draw(st.sampled_from([least, least + 1, 2_000, 4_000]) | st.integers(least, 4_000))
+    pad = draw(st.integers(1, 3))
+    block = max(1, SYNTHETIC_BLOCK_VALUES // (n * pad))
+    if block <= 40:
+        replicates = st.sampled_from([block, block + 1, 2 * block + 1]) | st.integers(1, 2 * block + 1)
+    else:
+        replicates = st.integers(1, 12)
+    labels = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def series():
+        used = draw(st.integers(1, 6))
+        return CategoricalSeries(labels.integers(0, used, n), used + draw(st.integers(0, 2)))
+
+    base = tuple(series() for _ in range(draw(st.integers(0, 2))))
+    return base, series(), pad, n_bins, draw(replicates), draw(st.integers(0, 2**32 - 1))
 
 
 class TestMimicTable:
@@ -162,6 +205,38 @@ def test_mimic_ce_samples_matches_the_reference_loop_bit_for_bit(case):
     assert samples.tobytes() == expected.tobytes()
     # the same binomial draws, so the stream is left in the same place
     assert plain(rng.bit_generator.state) == plain(reference_rng.bit_generator.state)
+
+
+def _cycle(n, used, cardinality):
+    return CategoricalSeries(np.arange(n) % used, cardinality)
+
+
+@settings(max_examples=100, deadline=None)
+@given(synthetic_cases())
+# three blocks of 4, 4 and 1 replicates; the base declares 7 categories and uses 5
+@example(((_cycle(2_000, 5, 7),), _cycle(2_000, 3, 4), 2, 12, 9, 1))
+# n at K + 2, so most noise bins stay empty, under two base series
+@example(((_cycle(102, 2, 2), _cycle(102, 3, 3)), _cycle(102, 4, 4), 3, 102, 5, 2))
+def test_synthetic_ce_samples_match_the_reference_loop_bit_for_bit(case):
+    base, response, pad, n_bins, replicates, seed = case
+    rng, reference_rng = child_rng(seed), child_rng(seed)
+    samples = synthetic_ce_samples(base, response, pad, n_bins, replicates, rng)
+    expected = reference_synthetic_ce_samples(base, response, pad, n_bins, replicates, reference_rng)
+    assert samples.tobytes() == expected.tobytes()
+    assert plain(rng.bit_generator.state) == plain(reference_rng.bit_generator.state)
+
+
+class TestSyntheticNoiseSeries:
+    def test_rows_are_binned_as_one_feature_at_a_time(self):
+        rng, reference_rng = child_rng(11), child_rng(11)
+        labels = synthetic_noise_series(500, 12, rng, 4)
+        for row in labels:
+            values = reference_rng.random(500)
+            assert row.tolist() == apply_bins(values, quantile_bins(values, 10)).labels.tolist()
+
+    def test_fewer_records_than_bins_rejected(self):
+        with pytest.raises(ValueError, match="too few values"):
+            synthetic_noise_series(11, 12, child_rng(12), 1)
 
 
 class TestNullBand:

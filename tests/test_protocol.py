@@ -1,10 +1,12 @@
 """Subset ledgers, pair classification and major-factor selection."""
 
+import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceda.genlab import GeneratorSpec, sample
 from ceda.protocol import (
@@ -21,6 +23,23 @@ from ceda.protocol import (
 )
 from ceda.tabulate import CategoricalSeries
 from conftest import binned, count_fusion_calls
+
+
+def reference_maximal_coexistent_sets(candidates, conflicts):
+    """The scan over all 2^c candidate combinations, largest first; kept as the oracle."""
+    candidates = list(candidates)
+    sets = []
+    for r in range(len(candidates), 0, -1):
+        for combo in itertools.combinations(candidates, r):
+            if any(
+                frozenset((a, b)) in conflicts
+                for a, b in itertools.combinations(combo, 2)
+            ):
+                continue
+            if any(set(combo) <= set(s) for s in sets):
+                continue
+            sets.append(combo)
+    return sets
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +345,36 @@ class TestMaximalCoexistentSets:
 
     def test_no_candidates_give_no_sets(self):
         assert _maximal_coexistent_sets([], set()) == []
+
+    def test_thirty_candidates(self):
+        # the 2^30 combination scan would not finish; four maximal sets
+        c = [f"F{i:02d}" for i in range(30)]
+        conflicts = {frozenset(p) for p in ((c[0], c[1]), (c[1], c[2]), (c[28], c[29]))}
+        middle = tuple(c[3:28])
+        assert _maximal_coexistent_sets(c, conflicts) == [
+            (c[0], c[2], *middle, c[28]),
+            (c[0], c[2], *middle, c[29]),
+            (c[1], *middle, c[28]),
+            (c[1], *middle, c[29]),
+        ]
+
+
+@st.composite
+def conflict_graphs(draw):
+    """(candidates, conflicts): up to 10 candidates in a drawn order, any set of conflicting pairs."""
+    candidates = draw(st.permutations([f"X{i}" for i in range(draw(st.integers(0, 10)))]))
+    pairs = list(itertools.combinations(candidates, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return candidates, {frozenset(p) for p in chosen}
+
+
+@settings(max_examples=200, deadline=None)
+@given(conflict_graphs())
+def test_maximal_coexistent_sets_match_the_combination_scan(graph):
+    candidates, conflicts = graph
+    assert _maximal_coexistent_sets(candidates, conflicts) == reference_maximal_coexistent_sets(
+        candidates, conflicts
+    )
 
 
 class TestMiGrid:
