@@ -28,6 +28,7 @@ __all__ = [
     "apply_bins",
     "fuse_features",
     "kmeans_fit",
+    "linear_quantile",
     "product_categories",
     "quantile_bins",
 ]
@@ -75,6 +76,40 @@ class BinningScheme:
         )
 
 
+def linear_quantile(values, q) -> np.ndarray:
+    """``np.quantile(values, q, axis=-1)`` (method "linear"), bit for bit, from a sort.
+
+    The order statistics come from ``np.sort`` along the last axis and are
+    combined with numpy's own arithmetic: virtual index ``(n - 1) * q``, its
+    floor and ceiling neighbours (both the last value at or past index
+    n - 1), and ``_lerp``'s two branches, ``a + d*g`` for g < 0.5 and
+    ``b - d*(1 - g)`` otherwise.  The values of the order statistics do not
+    depend on how they are found, but a sort and numpy's partition may put a
+    -0.0 and a +0.0 in either order; so where an order statistic used is
+    zero, or a slice holds a NaN, the result is ``np.quantile``'s own.  The
+    result has the shape of ``q`` followed by that of ``values`` without its
+    last axis, as ``np.quantile``'s does.
+    """
+    values = np.asarray(values, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = values.shape[-1]
+    ordered = np.sort(values, axis=-1)
+    virtual = (n - 1) * q
+    top = virtual >= n - 1
+    below = np.where(top, -1, np.floor(virtual)).astype(np.intp)
+    above = np.where(top, -1, below + 1)
+    # numpy takes the fraction from the lower index after its top clamp
+    gamma = virtual - below
+    shape = q.shape + values.shape[:-1]
+    a = np.moveaxis(ordered[..., below.ravel()], -1, 0).reshape(shape)
+    b = np.moveaxis(ordered[..., above.ravel()], -1, 0).reshape(shape)
+    if not (a.all() and b.all()) or np.isnan(ordered[..., -1]).any():
+        return np.quantile(values, q, axis=-1)
+    gamma = gamma.reshape(q.shape + (1,) * (values.ndim - 1))
+    d = b - a
+    return np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma)
+
+
 def quantile_bins(
     values,
     k_interior: int,
@@ -83,7 +118,8 @@ def quantile_bins(
 ) -> BinningScheme:
     """Equal-width interior bins over the observed [low_q, high_q] quantile range.
 
-    Quantiles use linear interpolation between order statistics.
+    Quantiles use linear interpolation between order statistics, taken from
+    a sort with ``linear_quantile`` (numpy's "linear" rule, bit for bit).
     """
     values = np.asarray(values, dtype=float)
     if k_interior < 1:
@@ -92,7 +128,7 @@ def quantile_bins(
         raise ValueError("need 0 < low_q < high_q < 1")
     if values.size < k_interior + 2:
         raise ValueError("too few values for the requested bin count")
-    lo, hi = np.quantile(values, [low_q, high_q])
+    lo, hi = linear_quantile(values, [low_q, high_q])
     if not hi > lo:
         raise ValueError("degenerate feature: quantile range has zero width")
     edges = np.linspace(lo, hi, k_interior + 1)

@@ -384,15 +384,13 @@ def cmd_simulate(args) -> int:
     data = sample(spec)
     names = list(data)
     n = len(next(iter(data.values())))
-    lines = [",".join(names)]
-    cols = [data[c] for c in names]
-    for i in range(n):
-        lines.append(
-            ",".join(
-                str(int(col[i])) if np.issubdtype(col.dtype, np.integer) else f"{col[i]:.17g}"
-                for col in cols
-            )
-        )
+    cells = [
+        map(str, col.tolist())
+        if np.issubdtype(col.dtype, np.integer)
+        else map("{:.17g}".format, col.tolist())
+        for col in (data[c] for c in names)
+    ]
+    lines = [",".join(names), *map(",".join, zip(*cells))]
     _emit("\n".join(lines) + "\n", args.out)
     _log(f"simulate {args.example}: {n} rows, seed {spec.seed}")
     return 0

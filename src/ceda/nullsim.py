@@ -6,6 +6,15 @@ proportions, so it shares the table's marginal structure but is independent
 of the response by construction.  Statistics over an ensemble of mimics
 give the null band behind the confirmable-effect decision.
 
+Where too few designated noise features exist, a noise level draws
+synthetic uniform features binned 1+K+1 like a real covariate, a block of
+replicates at a time.  Every quantile here, of a band or of a synthetic
+feature, comes from sorted order statistics with numpy's "linear" rule, bit
+for bit (``categorize.linear_quantile``).  A block whose dense table of
+(replicate, base, noise) rows by response columns fits in
+``SYNTHETIC_BLOCK_VALUES`` cells is counted into that table with one
+bincount; a wider one is fused first.
+
 Randomness uses numpy's Philox counter-based generator; every band or job
 derives its own stream from (master seed, job key), so results do not
 depend on evaluation order or degree of parallelism.
@@ -13,10 +22,12 @@ depend on evaluation order or degree of parallelism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ceda.categorize import linear_quantile
 from ceda.tabulate import (
     CategoricalSeries,
     ContingencyTable,
@@ -88,8 +99,13 @@ class C1Verdict:
 
 
 def band_from_samples(name: str, samples: np.ndarray) -> NullBand:
+    """Band of ``samples``: mean, sd (ddof 1) and the 2.5%/97.5% quantiles.
+
+    The quantiles come from sorted order statistics with numpy's "linear"
+    rule, bit for bit (``linear_quantile``).
+    """
     samples = np.asarray(samples, dtype=float)
-    q025, q975 = np.quantile(samples, [0.025, 0.975])
+    q025, q975 = linear_quantile(samples, [0.025, 0.975])
     return NullBand(
         statistic_name=name,
         replicates=samples.size,
@@ -219,26 +235,29 @@ def synthetic_noise_series(
 ) -> np.ndarray:
     """Labels of ``count`` i.i.d. uniform features, each binned 1+K+1 like a real covariate.
 
-    Returns a ``(count, n)`` label array; row i is feature i.  The features
-    are drawn as one ``rng.random((count, n))``, which takes the same values
-    from the stream as ``count`` successive ``rng.random(n)`` calls.  Each row
-    gets its own ``quantile_bins`` scheme with K = ``max(n_bins - 2, 1)``
-    (the 5%-95% quantile range cut into K equal-width bins), and a label is
-    the number of the row's edges strictly below the value, as in
-    ``apply_bins``.  Rows are therefore labelled exactly as one feature at a
-    time would be, bit for bit.
+    Returns a ``(count, n)`` label array of the narrowest unsigned dtype that
+    holds the K + 2 labels; row i is feature i.  The features are drawn as
+    one ``rng.random((count, n))``, which takes the same values from the
+    stream as ``count`` successive ``rng.random(n)`` calls.  Each row gets
+    its own ``quantile_bins`` scheme with K = ``max(n_bins - 2, 1)``: the
+    row's 5% and 95% quantiles, from its sorted order statistics with
+    numpy's "linear" rule (``linear_quantile``), cut into K equal-width bins.
+    A label is the number of the row's edges strictly below the value, as in
+    ``apply_bins``, counted one edge at a time.  Rows are therefore labelled
+    exactly as one feature at a time would be, bit for bit.
     """
     k = max(n_bins - 2, 1)
     if n < k + 2:
         raise ValueError("too few values for the requested bin count")
     values = rng.random((count, n))
-    lo, hi = np.quantile(values, [0.05, 0.95], axis=1)
+    lo, hi = linear_quantile(values, [0.05, 0.95])
     edges = np.linspace(lo, hi, k + 1, axis=1)
     if not (np.diff(edges, axis=1) > 0).all():
         raise ValueError("degenerate feature: quantile range has zero width")
-    labels = np.zeros((count, n), dtype=np.int64)
+    labels = np.zeros((count, n), dtype=np.min_scalar_type(k + 1))
+    above = np.empty((count, n), dtype=bool)
     for j in range(k + 1):
-        labels += values > edges[:, j, None]
+        labels += np.greater(values, edges[:, j, None], out=above)
     return labels
 
 
@@ -257,12 +276,15 @@ def synthetic_ce_samples(
     state are those of drawing, cross-tabulating and measuring one replicate
     at a time with ``crosstab`` and ``conditional_entropy``, bit for bit.
 
-    Replicates are handled in blocks of at most ``SYNTHETIC_BLOCK_VALUES``
-    uniform values.  A block's records are fused with their replicate index
-    first, so each replicate's occupied rows come out together and in
-    ``crosstab``'s row order; one bincount counts every cell of the block,
-    and each replicate's entropy sums its own contiguous run of x*log(x)
-    terms (zero cells included), as ``conditional_entropy`` sums its table's.
+    The features' quantiles come from sorted order statistics with numpy's
+    "linear" rule.  Replicates are handled in blocks of at most
+    ``SYNTHETIC_BLOCK_VALUES`` uniform values, and each block is counted in
+    one bincount (see ``_block_ce``): into its dense table while that has at
+    most ``SYNTHETIC_BLOCK_VALUES`` cells, else after fusing the block's
+    occupied label tuples.  Each replicate's occupied rows come out in
+    ``crosstab``'s row order, and its entropy sums their x*log(x) terms
+    (zero cells included) in that order, as ``conditional_entropy`` sums its
+    table's.
     """
     n = len(response)
     xlogx = _xlogx_table(n)
@@ -284,9 +306,39 @@ def synthetic_ce_samples(
 def _block_ce(
     base: tuple, response: CategoricalSeries, noise: np.ndarray, card: int, xlogx: np.ndarray
 ) -> list:
-    """H[response | base + noise[r]] for each replicate r of a ``(b, pad, n)`` label block."""
+    """H[response | base + noise[r]] for each replicate r of a ``(b, pad, n)`` label block.
+
+    While the block's dense table, b x span x n_cols cells (span the product
+    of the base and noise cardinalities), holds at most
+    ``SYNTHETIC_BLOCK_VALUES`` cells, a record's cell is the mixed-radix code
+    of (replicate, base labels, noise labels, response label) and one
+    bincount fills the table; replicate r's occupied rows are those of
+    ``full[r]`` with a positive row sum.  A wider block is fused with its
+    replicate index first by ``fuse_labels``, so each replicate's occupied
+    rows come out together, and one bincount counts the fused cells.
+    """
     b, pad, n = noise.shape
     n_cols = response.cardinality
+    span = math.prod(s.cardinality for s in base) * card**pad
+    if b * span * n_cols <= SYNTHETIC_BLOCK_VALUES:
+        codes = np.repeat(np.arange(b), n).reshape(b, n)
+        for s in base:
+            codes *= s.cardinality
+            codes += s.labels
+        for j in range(pad):
+            codes *= card
+            codes += noise[:, j]
+        codes *= n_cols
+        codes += response.labels
+        full = np.bincount(codes.ravel(), minlength=b * span * n_cols).reshape(b, span, n_cols)
+        row_sums = full.sum(axis=2)
+        ces = []
+        for r in range(b):
+            occupied = row_sums[r] > 0
+            cells = full[r][occupied].ravel()
+            h = (xlogx[row_sums[r][occupied]].sum() - xlogx[cells].sum()) / n
+            ces.append(max(h, 0.0))
+        return ces
     series = [CategoricalSeries(np.repeat(np.arange(b), n), b)]
     series += [CategoricalSeries(np.tile(s.labels, b), s.cardinality) for s in base]
     series += [CategoricalSeries(noise[:, j].ravel(), card) for j in range(pad)]

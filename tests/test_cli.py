@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ceda.protocol
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import fuse_features, quantile_bins, apply_bins
-from ceda.genlab import GeneratorSpec, sample
+from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import ProtocolConfig
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
 from conftest import count_fusion_calls
@@ -312,7 +312,29 @@ class TestExitCodes:
         assert out == ""
 
 
+def reference_simulate_csv(data) -> str:
+    """The row-by-row CSV writer ``simulate`` had, kept as the oracle for its bytes."""
+    names = list(data)
+    n = len(next(iter(data.values())))
+    lines = [",".join(names)]
+    cols = [data[c] for c in names]
+    for i in range(n):
+        lines.append(
+            ",".join(
+                str(int(col[i])) if np.issubdtype(col.dtype, np.integer) else f"{col[i]:.17g}"
+                for col in cols
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestSimulateRoundTrip:
+    @pytest.mark.parametrize("example", EXAMPLE_IDS)
+    def test_csv_bytes_match_the_row_by_row_writer(self, capsys, example):
+        code, out, _ = run(capsys, "simulate", "--example", example, "--n", "60", "--seed", "5")
+        assert code == 0
+        assert out == reference_simulate_csv(sample(GeneratorSpec(example, 60, seed=5)))
+
     def test_csv_round_trips_bitwise_into_pipeline(self, ex1_csv):
         cfg = RunConfig(
             response=("Y",), covariates=("V1",),

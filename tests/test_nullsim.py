@@ -109,9 +109,11 @@ def synthetic_cases(draw):
     n runs from the least a 1+K+1 scheme allows (K + 2) up to 4 000 records.
     Where a block holds at most 40 replicates (n * pad above about 400), the
     replicate count reaches past the second block boundary.  Base and
-    response series may declare categories no record takes.
+    response series may declare categories no record takes.  Bin counts
+    above 129 give labels past int8's range, and both sides of the dense
+    table bound occur.
     """
-    n_bins = draw(st.sampled_from([2, 3, 12, 102]))
+    n_bins = draw(st.sampled_from([2, 3, 12, 102, 130, 300]))
     least = max(n_bins, 3)
     n = draw(st.sampled_from([least, least + 1, 2_000, 4_000]) | st.integers(least, 4_000))
     pad = draw(st.integers(1, 3))
@@ -217,6 +219,10 @@ def _cycle(n, used, cardinality):
 @example(((_cycle(2_000, 5, 7),), _cycle(2_000, 3, 4), 2, 12, 9, 1))
 # n at K + 2, so most noise bins stay empty, under two base series
 @example(((_cycle(102, 2, 2), _cycle(102, 3, 3)), _cycle(102, 4, 4), 3, 102, 5, 2))
+# labels up to 129 in dense tables of 54 x 130 x 1 cells, over two blocks
+@example(((), _cycle(300, 1, 1), 1, 130, 55, 3))
+# labels up to 299; 4 x 300 x 300 x 4 cells per block, past the dense bound
+@example(((_cycle(2_000, 3, 4),), _cycle(2_000, 4, 4), 2, 300, 5, 4))
 def test_synthetic_ce_samples_match_the_reference_loop_bit_for_bit(case):
     base, response, pad, n_bins, replicates, seed = case
     rng, reference_rng = child_rng(seed), child_rng(seed)
@@ -228,11 +234,14 @@ def test_synthetic_ce_samples_match_the_reference_loop_bit_for_bit(case):
 
 class TestSyntheticNoiseSeries:
     def test_rows_are_binned_as_one_feature_at_a_time(self):
-        rng, reference_rng = child_rng(11), child_rng(11)
-        labels = synthetic_noise_series(500, 12, rng, 4)
-        for row in labels:
-            values = reference_rng.random(500)
-            assert row.tolist() == apply_bins(values, quantile_bins(values, 10)).labels.tolist()
+        # 130 and 300 bins give labels past int8's range
+        for n_bins in (12, 130, 300):
+            rng, reference_rng = child_rng(11), child_rng(11)
+            labels = synthetic_noise_series(500, n_bins, rng, 4)
+            for row in labels:
+                values = reference_rng.random(500)
+                scheme = quantile_bins(values, n_bins - 2)
+                assert row.tolist() == apply_bins(values, scheme).labels.tolist()
 
     def test_fewer_records_than_bins_rejected(self):
         with pytest.raises(ValueError, match="too few values"):

@@ -3,13 +3,14 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ceda.categorize import (
     _nearest,
     _sorted_nearest,
     apply_bins,
+    linear_quantile,
     product_categories,
     quantile_bins,
 )
@@ -101,6 +102,43 @@ def test_apply_bins_monotone_and_total(seed, k, loc, scale):
     order = np.argsort(values, kind="stable")
     assert (np.diff(labels[order]) >= 0).all()
     assert labels.min() >= 0 and labels.max() <= k + 1
+
+
+@st.composite
+def quantile_cases(draw):
+    """(values, q): 1..5 000 values, 1-D or a block of rows, and up to six quantiles.
+
+    Values spread over magnitudes 1e-5..1e5 of either sign, or take a few
+    tied values, or mix -0.0 and +0.0 with a few others.  The quantiles are
+    the bands' and the bins' anchors, 0 and 1, and arbitrary ones in [0, 1].
+    """
+    n = draw(st.integers(1, 5_000) | st.sampled_from([1, 2, 3, 40]))
+    shape = (n,) if draw(st.booleans()) else (draw(st.integers(1, 8)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "ties", "signed_zeros"]))
+    if kind == "spread":
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    elif kind == "ties":
+        pool = draw(st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=4))
+        values = rng.choice(pool, shape)
+    else:
+        values = rng.choice([-0.0, 0.0, 1e-5, -2.5, 7.0], shape)
+    anchors = st.sampled_from([0.025, 0.05, 0.95, 0.975, 0.0, 1.0])
+    q = draw(st.lists(anchors | st.floats(0.0, 1.0), min_size=1, max_size=6))
+    return values, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantile_cases())
+# a sort and numpy's partition leave different zeros at the median here
+@example((np.array([-1.0, -0.0, -0.0, 0.0, -1.0, 0.0]), [0.5]))
+@example((np.array([[3.0, -0.0, 0.0, 1.0], [0.0, -0.0, 2.0, -4.0]]), [0.0, 0.5, 1.0]))
+def test_linear_quantile_matches_np_quantile_bytes(case):
+    values, q = case
+    expected = np.quantile(values, q, axis=None if values.ndim == 1 else 1)
+    got = linear_quantile(values, q)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
