@@ -347,5 +347,5 @@ def product_categories(series_list) -> CategoricalSeries:
     (see ``ceda.tabulate.fuse_labels``); fusion never overflows, whatever
     the number of series or the product of their cardinalities.
     """
-    ranks, keys = fuse_labels(series_list)
-    return CategoricalSeries(labels=ranks, cardinality=keys.shape[0])
+    ranks, count = fuse_labels(series_list)
+    return CategoricalSeries(labels=ranks, cardinality=count)

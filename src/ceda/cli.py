@@ -26,7 +26,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report, mutual_information
-from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
+from ceda.categorize import (
+    BinningScheme,
+    apply_bins,
+    fuse_features,
+    product_categories,
+    quantile_bins,
+)
 from ceda.nullsim import c1_test, child_rng, null_band
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import (
@@ -269,11 +275,7 @@ def _categorize_column(name: str, values: np.ndarray, config: RunConfig) -> Cate
     method, k = config.categorize.get(name, ("quantile", 10))
     if method == "categorical":
         uniq, inverse = np.unique(values, return_inverse=True)
-        return CategoricalSeries(
-            labels=inverse.ravel(),
-            cardinality=uniq.size,
-            names=tuple(str(u) for u in uniq),
-        )
+        return CategoricalSeries(labels=inverse.ravel(), cardinality=uniq.size)
     if method == "kmeans":
         return _kmeans_series(name, values, k, config)
     return apply_bins(values, _quantile_scheme(name, values, k))
@@ -372,7 +374,9 @@ def _subset_tables(args) -> tuple[RunConfig, list]:
     """The run's config and a (subset, table) pair per ``--subsets`` entry."""
     config, covs, response = _load(args)
     subsets = _parse_subsets(args.subsets, config)
-    return config, [(s, crosstab(tuple(covs[c] for c in s), response)) for s in subsets]
+    return config, [
+        (s, crosstab(product_categories([covs[c] for c in s]), response)) for s in subsets
+    ]
 
 
 def cmd_simulate(args) -> int:
@@ -420,9 +424,8 @@ def cmd_bins(args) -> int:
                     f"replay file {args.replay}: bad scheme for {c!r}: {exc}"
                 ) from exc
             labeled[c] = apply_bins(data[c], scheme).labels
-        lines = [",".join(cols)]
-        for i in range(len(data[cols[0]])):
-            lines.append(",".join(str(int(labeled[c][i])) for c in cols))
+        cells = [map(str, labeled[c].tolist()) for c in cols]
+        lines = [",".join(cols), *map(",".join, zip(*cells))]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     data = ingest_csv(config.input_path, config)

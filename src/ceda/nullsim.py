@@ -46,7 +46,6 @@ __all__ = [
     "null_band",
 ]
 
-SAMPLE_RETENTION_LIMIT = 10_000
 # Synthetic replicates are drawn and tabulated in blocks of at most this many
 # uniform values (at least one replicate): a block's working arrays grow with
 # it, so the bound keeps the peak memory near that of one replicate at a time.
@@ -69,7 +68,6 @@ class NullBand:
     sd: float
     q025: float
     q975: float
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -113,7 +111,6 @@ def band_from_samples(name: str, samples: np.ndarray) -> NullBand:
         sd=float(samples.std(ddof=1)),
         q025=float(q025),
         q975=float(q975),
-        samples=samples if samples.size <= SAMPLE_RETENTION_LIMIT else None,
     )
 
 
@@ -123,11 +120,13 @@ def _xlogx_table(total: int) -> np.ndarray:
     return np.concatenate(([0.0], k * np.log(k)))
 
 
-def mimic_table(table: ContingencyTable, rng: np.random.Generator) -> ContingencyTable:
-    """One mimic: per response column, a multinomial split over the rows.
+def mimic_table(table: ContingencyTable, rng: np.random.Generator) -> np.ndarray:
+    """One mimic's R x C count matrix: per response column, a multinomial split over the rows.
 
-    Column sums are preserved exactly; row sums only in expectation.  Rows
-    that come out empty are dropped, as in any constructed table.
+    Column sums are preserved exactly; row sums only in expectation.  Row r
+    is the table's row r, so a row may come out empty; a ``ContingencyTable``
+    of the mimic keeps only the occupied rows.  This is the reference the
+    vectorized sampler (``mimic_ce_samples``) is checked against.
     """
     if table.total <= 0:
         raise ValueError("table total must be positive")
@@ -135,13 +134,7 @@ def mimic_table(table: ContingencyTable, rng: np.random.Generator) -> Contingenc
     counts = np.empty_like(table.counts)
     for c in range(table.cols):
         counts[:, c] = rng.multinomial(int(table.col_margin[c]), probs)
-    keep = counts.sum(axis=1) > 0
-    return ContingencyTable(
-        counts=counts[keep],
-        row_keys=tuple(k for k, m in zip(table.row_keys, keep) if m),
-        col_keys=table.col_keys,
-        total=table.total,
-    )
+    return counts
 
 
 def mimic_ce_samples(
@@ -342,13 +335,13 @@ def _block_ce(
     series = [CategoricalSeries(np.repeat(np.arange(b), n), b)]
     series += [CategoricalSeries(np.tile(s.labels, b), s.cardinality) for s in base]
     series += [CategoricalSeries(noise[:, j].ravel(), card) for j in range(pad)]
-    rows, keys = fuse_labels(series)
-    n_rows = keys.shape[0]
+    rows, n_rows = fuse_labels(series)
     cells = np.bincount(rows * n_cols + np.tile(response.labels, b), minlength=n_rows * n_cols)
     row_terms = xlogx[np.bincount(rows, minlength=n_rows)]
     ces = []
     start = 0
-    for stop in np.cumsum(np.bincount(keys[:, 0], minlength=b)).tolist():
+    # the replicate index leads the fusion: replicate r's rows end at its largest rank
+    for stop in (rows.reshape(b, n).max(axis=1) + 1).tolist():
         h = (row_terms[start:stop].sum() - xlogx[cells[start * n_cols : stop * n_cols]].sum()) / n
         ces.append(max(h, 0.0))
         start = stop

@@ -78,6 +78,12 @@ COEXIST_MARGIN = 0.05
 # A conditional entropy counts as below a reference band only when it is
 # below its 2.5% quantile by more than this margin.
 CANDIDATE_MARGIN = 0.01
+# Synthetic noise replicates drawn for a reference level (the empty subset)
+# and for any other subset's noise level.
+REF_REPLICATES = 100
+PAD_REPLICATES = 30
+# A subset whose full table would exceed this many cells is listed unevaluated.
+CELL_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -88,30 +94,22 @@ class ProtocolConfig:
     analyses argue with ratios ("more than 10 times", "5 times larger")
     rather than fixed constants; the ecological band and the margins are
     the module constants ``ECO_LOW``/``ECO_HIGH``, ``COEXIST_MARGIN`` and
-    ``CANDIDATE_MARGIN``.  Construction raises ``ValueError`` for a value
-    outside its range, e.g. fewer than 2 replicates or a non-finite ``r_int``.
+    ``CANDIDATE_MARGIN``, as are the synthetic replicate counts and the cell
+    budget.  Construction raises ``ValueError`` for a value outside its
+    range, e.g. fewer than 2 replicates, a negative seed or a non-finite
+    ``r_int``.
     """
 
     max_order: int = 2
     replicates: int = 1000
-    ref_replicates: int = 100
-    pad_replicates: int = 30
     seed: int = 0
     r_int: float = 3.0
     cell_floor: float = 1.0
-    cell_budget: int = 2_000_000
     noise_features: tuple = ()
     threads: int = 1
 
     def __post_init__(self):
-        for name, least in (
-            ("max_order", 1),
-            ("replicates", 2),
-            ("ref_replicates", 2),
-            ("pad_replicates", 2),
-            ("cell_budget", 1),
-            ("threads", 1),
-        ):
+        for name, least in (("max_order", 1), ("replicates", 2), ("seed", 0), ("threads", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (math.isfinite(self.r_int) and self.r_int > 0):
@@ -275,7 +273,7 @@ class SubsetEvaluator:
         """``(samples, band, synthetic)`` of the subset's noise level at ``order``.
 
         The rule is the module docstring's; synthetic draws number
-        ``ref_replicates`` for the empty subset and ``pad_replicates`` otherwise.
+        ``REF_REPLICATES`` for the empty subset and ``PAD_REPLICATES`` otherwise.
         """
         pad = order - len(subset)
         if pad < 1:
@@ -295,10 +293,10 @@ class SubsetEvaluator:
             if synthetic:
                 if subset:
                     rng = child_rng(cfg.seed, 91, order, _subset_tag(subset))
-                    replicates, base = cfg.pad_replicates, (self.fused(subset),)
+                    replicates, base = PAD_REPLICATES, (self.fused(subset),)
                 else:
                     rng = child_rng(cfg.seed, 90, order)
-                    replicates, base = cfg.ref_replicates, ()
+                    replicates, base = REF_REPLICATES, ()
                 drawn = synthetic_ce_samples(
                     base, self.response, pad, self._bins_for_noise(), replicates, rng
                 )
@@ -393,7 +391,7 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
     for f in subset:
         cardinality_product *= evaluator.covariates[f].cardinality
     est_cells = cardinality_product * evaluator.response.cardinality
-    if est_cells > config.cell_budget:
+    if est_cells > CELL_BUDGET:
         return SubsetLedgerEntry(
             subset=subset,
             order=k,

@@ -1,8 +1,10 @@
 """Contingency tables and the Shannon-entropy measurements evaluated on them.
 
-Conventions: covariate categories on rows, response categories on columns.
-Empty covariate rows are never stored; empty response columns are kept so
-tables built over different covariate subsets share one column axis.
+A table is its count matrix alone: covariate categories on rows, response
+categories on columns.  Empty covariate rows are never stored; empty
+response columns are kept so tables built over different covariate subsets
+share one column axis.  A table over several covariates is the table of
+their fusion (``categorize.product_categories``), one series per table.
 All entropies are in nats and 0*ln(0) is taken as 0.  No bias correction
 or smoothing is applied anywhere.
 """
@@ -58,7 +60,6 @@ class CategoricalSeries:
 
     labels: np.ndarray
     cardinality: int
-    names: tuple | None = None
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -69,8 +70,6 @@ class CategoricalSeries:
             raise ValueError("cardinality must be >= 1")
         if labels.min() < 0 or labels.max() >= self.cardinality:
             raise ValueError("every label must satisfy 0 <= label < cardinality")
-        if self.names is not None and len(self.names) != self.cardinality:
-            raise ValueError("names must have one entry per category")
 
     def __len__(self) -> int:
         return int(self.labels.size)
@@ -81,9 +80,7 @@ class ContingencyTable:
     """R x C count matrix: occupied covariate categories vs response categories."""
 
     counts: np.ndarray
-    row_keys: tuple
-    col_keys: tuple
-    total: int
+    total: int = field(init=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -92,12 +89,9 @@ class ContingencyTable:
             raise ValueError("counts must be 2-D")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != self.total:
-            raise ValueError("cell counts must sum to total")
         if (counts.sum(axis=1) == 0).any():
             raise ValueError("all-zero covariate rows must not be stored")
-        if len(self.row_keys) != counts.shape[0] or len(self.col_keys) != counts.shape[1]:
-            raise ValueError("row/col key lengths must match the count matrix")
+        object.__setattr__(self, "total", int(counts.sum()))
 
     @property
     def rows(self) -> int:
@@ -142,13 +136,12 @@ class EntropyReport:
         return json.dumps(obj)
 
 
-def fuse_labels(series) -> tuple[np.ndarray, np.ndarray]:
+def fuse_labels(series) -> tuple[np.ndarray, int]:
     """Rank the occupied label tuples of several series, lexicographically.
 
-    Returns ``(ranks, keys)``: ``ranks[i]`` is the dense 0-based rank of
-    record i's label tuple and ``keys[r]`` is the tuple of rank r, one
-    column per series, so ``keys[ranks]`` rebuilds the stacked labels.  The
-    order is that of ``np.unique(np.column_stack(labels), axis=0)``.
+    Returns ``(ranks, count)``: ``ranks[i]`` is the dense 0-based rank of
+    record i's label tuple among the ``count`` occupied tuples.  The order
+    is that of ``np.unique(np.column_stack(labels), axis=0)``.
 
     Series are fused one at a time as the mixed-radix code
     ``rank * cardinality + label`` and re-ranked after each step, so a code
@@ -165,58 +158,38 @@ def fuse_labels(series) -> tuple[np.ndarray, np.ndarray]:
         if len(s) != n:
             raise ValueError("series lengths differ")
     ranks = np.zeros(n, dtype=np.int64)
-    keys = np.zeros((1, 0), dtype=np.int64)
+    count = 1
     for s in series:
         labels, card = s.labels, s.cardinality
-        values = None
         if card > n:
             # more categories than records: rank the labels that occur
             values, labels = np.unique(labels, return_inverse=True)
             card = values.size
         code = ranks * card + labels
-        span = keys.shape[0] * card
+        span = count * card
         if span <= n:
-            occupied = np.bincount(code, minlength=span) > 0
-            codes = np.flatnonzero(occupied)
-            ranks = (np.cumsum(occupied) - 1)[code]
+            running = np.cumsum(np.bincount(code, minlength=span) > 0)
+            ranks = running[code] - 1
+            count = int(running[-1])
         else:
             codes, ranks = np.unique(code, return_inverse=True)
-        prev, last = np.divmod(codes, card)
-        if values is not None:
-            last = values[last]
-        keys = np.column_stack([keys[prev], last])
-    return ranks, keys
+            count = codes.size
+    return ranks, count
 
 
-def crosstab(covariate, response: CategoricalSeries) -> ContingencyTable:
-    """Cross-tabulate one covariate (or a tuple of them) against the response.
+def crosstab(covariate: CategoricalSeries, response: CategoricalSeries) -> ContingencyTable:
+    """Cross-tabulate one covariate series against the response.
 
-    A tuple of series is fused on the fly, exactly as ``product_categories``
-    would fuse it: row keys are the occupied covariate tuples only, in
-    lexicographic order of the input labels.  Columns cover every response
-    category, empty ones included.
+    Rows are the covariate's occupied categories, in label order; columns
+    cover every response category, empty ones included.  Several covariates
+    are tabulated as one, fused with ``categorize.product_categories``.
     """
-    if isinstance(covariate, CategoricalSeries):
-        covs = (covariate,)
-    else:
-        covs = tuple(covariate)
-        if not covs:
-            raise ValueError("empty covariate input")
-    n = len(response)
-    for c in covs:
-        if len(c) != n:
-            raise ValueError("covariate and response lengths differ")
-    row_idx, keys = fuse_labels(covs)
-    n_rows = keys.shape[0]
+    if len(covariate) != len(response):
+        raise ValueError("covariate and response lengths differ")
+    rows, n_rows = fuse_labels([covariate])
     n_cols = response.cardinality
-    counts = np.bincount(row_idx * n_cols + response.labels, minlength=n_rows * n_cols)
-    counts = counts.reshape(n_rows, n_cols)
-    row_keys = tuple(map(tuple, keys.tolist()))
-    if response.names is not None:
-        col_keys = tuple(response.names)
-    else:
-        col_keys = tuple(range(n_cols))
-    return ContingencyTable(counts=counts, row_keys=row_keys, col_keys=col_keys, total=n)
+    counts = np.bincount(rows * n_cols + response.labels, minlength=n_rows * n_cols)
+    return ContingencyTable(counts.reshape(n_rows, n_cols))
 
 
 def column_margin_entropy(table: ContingencyTable) -> float:
@@ -239,10 +212,7 @@ def conditional_entropy(table: ContingencyTable) -> float:
 
 def mutual_information(table: ContingencyTable) -> float:
     """I[Y;A] = H[Y] - H[Y|A], with tiny float negatives clamped to zero."""
-    mi = column_margin_entropy(table) - conditional_entropy(table)
-    if -MI_CLAMP < mi < 0.0:
-        mi = 0.0
-    return mi
+    return entropy_report(table).mutual_info
 
 
 def entropy_report(table: ContingencyTable) -> EntropyReport:

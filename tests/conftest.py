@@ -1,7 +1,6 @@
 import threading
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import ceda.protocol
@@ -33,18 +32,6 @@ def random_table_counts(rng, max_rows=8, max_cols=8, max_count=60):
     counts = rng.integers(0, max_count, size=(r, c))
     counts[counts.sum(axis=1) == 0, rng.integers(c)] += 1
     return counts
-
-
-def table_from_counts(counts):
-    from ceda.tabulate import ContingencyTable
-
-    counts = np.asarray(counts, dtype=np.int64)
-    return ContingencyTable(
-        counts=counts,
-        row_keys=tuple((i,) for i in range(counts.shape[0])),
-        col_keys=tuple(range(counts.shape[1])),
-        total=int(counts.sum()),
-    )
 
 
 def count_fusion_calls(monkeypatch) -> Counter:

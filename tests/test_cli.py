@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ceda.protocol
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
-from ceda.categorize import fuse_features, quantile_bins, apply_bins
+from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import ProtocolConfig
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
@@ -276,6 +276,23 @@ class TestExitCodes:
         assert err.startswith("config error: column 'G': K-means")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--example", "ex4", "--n", "10"),
+            ("measure", "--response", "Y", "--covariates", "X1,X2"),
+            ("null", "--response", "Y", "--covariates", "X1,X2"),
+            ("grid", "--response", "Y", "--covariates", "X1", "--y-ladder", "4", "--x-ladder", "4"),
+            ("select", "--response", "Y", "--covariates", "X1,X2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_exit_3(self, capsys, ex4_csv, argv):
+        code, out, err = run(capsys, *argv, "--input", ex4_csv, "--seed", "-1")
+        assert code == 3
+        assert err.startswith("config error: seed must be >= 0")
+        assert out == ""
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_simulate_row_count_below_one_is_exit_3(self, capsys, n):
         code, out, err = run(capsys, "simulate", "--example", "ex4", "--n", n)
@@ -325,6 +342,15 @@ def reference_simulate_csv(data) -> str:
                 for col in cols
             )
         )
+    return "\n".join(lines) + "\n"
+
+
+def reference_replay_csv(labeled) -> str:
+    """The row-by-row CSV writer ``bins --replay`` had, kept as the oracle for its bytes."""
+    cols = list(labeled)
+    lines = [",".join(cols)]
+    for i in range(len(labeled[cols[0]])):
+        lines.append(",".join(str(int(labeled[c][i])) for c in cols))
     return "\n".join(lines) + "\n"
 
 
@@ -444,6 +470,23 @@ class TestBinsCommand:
         data = sample(GeneratorSpec("ex1", 4000, seed=2))
         expected = apply_bins(data["Y"], quantile_bins(data["Y"], 10)).labels
         assert [int(r) for r in rows] == expected.tolist()
+
+    def test_replay_bytes_match_the_row_by_row_writer(self, capsys, tmp_path, ex4_csv):
+        scheme_path = tmp_path / "schemes.json"
+        code, _, _ = run(
+            capsys, "bins", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            "--categorize", "X2=quantile:12", "--out", str(scheme_path),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "bins", "--input", ex4_csv, "--replay", str(scheme_path))
+        assert code == 0
+        data = sample(GeneratorSpec("ex4", 2000, seed=1))
+        schemes = json.loads(scheme_path.read_text())
+        labeled = {
+            c: apply_bins(data[c], BinningScheme.from_json(json.dumps(schemes[c]))).labels
+            for c in ("X1", "X2", "Y")
+        }
+        assert out == reference_replay_csv(labeled)
 
     def test_replay_of_a_column_the_csv_lacks_is_exit_2(self, capsys, tmp_path, ex1_csv):
         replay_path = tmp_path / "z.json"
@@ -609,6 +652,10 @@ FLAGS = {
     "--threads": (["1", "2"], ["0"]),
     "--r-int": (["3", "0.5"], ["nan", "-1", "0", "inf"]),
     "--cell-floor": (["0", "1"], ["-1", "nan"]),
+    "--seed": (["0", "1", "12345678901234567890"], ["-1", "-7"]),
+    "--n": (["1", "2", "30"], ["0", "-3"]),
+    "--y-ladder": (["1", "2", "1,3"], ["0", "two", "31"]),
+    "--x-ladder": (["1", "2", "1,3"], ["0", "two", "31"]),
     "--noise": (["X2"], ["Z9", "Y"]),
     "--subsets": (["X1", "X1+X2"], ["X1+X1", "Z9", ","]),
     "--categorize": (
@@ -639,11 +686,18 @@ def cli_runs(draw):
         columns.append(cells)
     text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
 
-    command = draw(st.sampled_from(["measure", "null", "bins", "select"]))
-    roles = draw(
-        st.sampled_from([("Y", "X1,X2")] * 3 + [("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y")])
-    )
-    argv = [command, "--response", roles[0], "--covariates", roles[1]]
+    command = draw(st.sampled_from(["measure", "null", "bins", "select", "grid", "simulate"]))
+    seed = ["--seed", value("--seed")] if draw(st.booleans()) else []
+    if command == "simulate":
+        example = draw(st.sampled_from(EXAMPLE_IDS))
+        return text, ["simulate", "--example", example, "--n", value("--n"), *seed]
+    roles = [("Y", "X1,X2")] * 3 + [("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y")]
+    if command == "grid":
+        roles = [("Y", "X1")] * 3 + roles
+    roles = draw(st.sampled_from(roles))
+    argv = [command, "--response", roles[0], "--covariates", roles[1], *seed]
+    if command == "grid":
+        argv += ["--y-ladder", value("--y-ladder"), "--x-ladder", value("--x-ladder")]
     argv += ["--replicates", value("--replicates")]
     directives = [f"{c}={value('--categorize')}" for c in header if draw(st.booleans())]
     if directives:
@@ -668,7 +722,9 @@ def test_exit_code_contract(tmp_path_factory, run_case):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         report = out.getvalue()
-        if argv[0] == "bins" or argv[-1] == "json":
+        if argv[0] == "simulate":
+            assert len(report.splitlines()) == 1 + int(argv[argv.index("--n") + 1])
+        elif argv[0] == "bins" or argv[-1] == "json":
             assert "config_digest" in json.loads(report)
         else:
             assert report.startswith("# config ") and "\t" in report

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ceda.protocol
 from ceda.genlab import GeneratorSpec, sample
 from ceda.protocol import (
+    PAD_REPLICATES,
+    REF_REPLICATES,
     ProtocolConfig,
     _maximal_coexistent_sets,
     SubsetEvaluator,
@@ -67,9 +70,7 @@ class TestProtocolConfig:
         [
             ("max_order", 0),
             ("replicates", 1),
-            ("ref_replicates", 1),
-            ("pad_replicates", 1),
-            ("cell_budget", 0),
+            ("seed", -1),
             ("threads", 0),
             ("r_int", float("nan")),
             ("r_int", float("inf")),
@@ -83,10 +84,7 @@ class TestProtocolConfig:
             ProtocolConfig(**{field: value})
 
     def test_smallest_accepted_values(self):
-        ProtocolConfig(
-            max_order=1, replicates=2, ref_replicates=2, pad_replicates=2,
-            cell_budget=1, threads=1, r_int=1e-9, cell_floor=0.0,
-        )
+        ProtocolConfig(max_order=1, replicates=2, seed=0, threads=1, r_int=1e-9, cell_floor=0.0)
 
 
 class TestEnumerateSubsets:
@@ -156,9 +154,10 @@ class TestBuildLedger:
         assert [e.subset for e in forward] == [e.subset for e in backward]
         assert [e.ce for e in forward] == [e.ce for e in backward]
 
-    def test_cell_budget_marks_subset_unreliable(self, additive_sine_setup):
+    def test_cell_budget_marks_subset_unreliable(self, additive_sine_setup, monkeypatch):
         cov, y = additive_sine_setup
-        cfg = ProtocolConfig(max_order=2, seed=1, replicates=200, cell_budget=500)
+        monkeypatch.setattr(ceda.protocol, "CELL_BUDGET", 500)
+        cfg = ProtocolConfig(max_order=2, seed=1, replicates=200)
         ledger = build_ledger(SubsetEvaluator(cov, y, cfg))
         pairs = [e for e in ledger if e.order == 2]
         assert pairs and all(not e.reliable for e in pairs)
@@ -205,7 +204,7 @@ class TestSceStarDrop:
         # designated sample and top it up with synthetic ones
         assert sce_star_drop(ev, ("X1", "X2"), "X2")[1]
         assert sce_star_drop(ev, ("X1",), "X1")[1]
-        assert len(ev.padded_ce_samples(("X1",), 2)) == 1 + ev.config.pad_replicates
+        assert len(ev.padded_ce_samples(("X1",), 2)) == 1 + PAD_REPLICATES
 
     def test_flag_is_false_when_designated_noise_suffices(self, additive_sine_setup):
         cov, y = additive_sine_setup
@@ -227,17 +226,18 @@ class TestReferenceBand:
         with pytest.raises(ValueError):
             additive_sine_evaluator.reference_band(-1)
 
-    def test_reference_non_increasing_in_subset_size(self):
+    def test_reference_non_increasing_in_subset_size(self, monkeypatch):
         data = sample(GeneratorSpec("ex6", 20_000, seed=2))
         y = binned(data["Y"], 10)
         cov = {f: binned(data[f], 10) for f in ("X1", "X2", "X3")}
-        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=16, ref_replicates=30))
+        monkeypatch.setattr(ceda.protocol, "REF_REPLICATES", 30)
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=16))
         levels = [ev.reference_band(k).mean for k in (1, 2, 3)]
         assert levels[0] >= levels[1] >= levels[2]
 
     def test_band_is_tight_at_scale(self, additive_sine_setup):
         cov, y = additive_sine_setup
-        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=17, ref_replicates=100))
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=17))
         band = ev.reference_band(1)
         assert band.sd < 0.01
         assert band.mean == pytest.approx(2.45, abs=0.03)
@@ -259,8 +259,8 @@ class TestReferenceBand:
         cov, y = additive_sine_setup
         ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X4",)))
         band = ev.reference_band(1)
-        assert band.replicates == 1 + ev.config.ref_replicates
-        assert band.samples[0] == ev.ce(("X4",))
+        assert band.replicates == 1 + REF_REPLICATES
+        assert ev.padded_ce_samples((), 1)[0] == ev.ce(("X4",))
         assert ev.drew_synthetic((), 1)
 
     def test_padding_must_add_a_feature(self, additive_sine_evaluator):
@@ -389,6 +389,15 @@ class TestMiGrid:
         with pytest.raises(ValueError):
             mi_grid(np.arange(100.0), np.arange(100.0), [], [12])
 
+    def test_cells_bands_and_verdicts_compare_and_hash_by_value(self):
+        rng = np.random.default_rng(21)
+        y, x = rng.standard_normal(300), rng.standard_normal(300)
+        first, second = (mi_grid(y, x, [3], [4], n_replicates=20, seed=2) for _ in range(2))
+        assert first == second
+        assert first != mi_grid(y, x, [3], [4], n_replicates=20, seed=3)
+        assert hash(first[0]) == hash(second[0])
+        assert len({first[0].band, second[0].band}) == 1
+
     def test_grid_shape_and_ordering(self):
         rng = np.random.default_rng(22)
         y, x = rng.standard_normal(2000), rng.standard_normal(2000)
@@ -413,7 +422,9 @@ class TestSharedEvaluator:
         data = sample(GeneratorSpec("ex4", 600, seed=3))
         y = binned(data["Y"], 4)
         cov = {f: binned(data[f], 4) for f in ("X1", "X2", "X3", "X4")}
-        cfg = ProtocolConfig(max_order=2, seed=1, ref_replicates=6, pad_replicates=6)
+        monkeypatch.setattr(ceda.protocol, "REF_REPLICATES", 6)
+        monkeypatch.setattr(ceda.protocol, "PAD_REPLICATES", 6)
+        cfg = ProtocolConfig(max_order=2, seed=1)
         calls = count_fusion_calls(monkeypatch)
 
         def work(evaluator):
