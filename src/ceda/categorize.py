@@ -14,8 +14,8 @@ matrix bit for bit.
 
 from __future__ import annotations
 
-import functools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,18 @@ __all__ = [
 ]
 
 
+def _check_scheme_params(k_interior, low_q, high_q):
+    """Raise ``ValueError`` unless k_interior is an integer >= 1 and 0 < low_q < high_q < 1."""
+    if isinstance(k_interior, bool) or not isinstance(k_interior, numbers.Integral):
+        raise ValueError(f"k_interior must be an integer, got {k_interior!r}")
+    if k_interior < 1:
+        raise ValueError("k_interior must be >= 1")
+    if not all(
+        isinstance(q, numbers.Real) and not isinstance(q, bool) for q in (low_q, high_q)
+    ) or not (0.0 < low_q < high_q < 1.0):
+        raise ValueError("need 0 < low_q < high_q < 1")
+
+
 @dataclass(frozen=True)
 class BinningScheme:
     """1+K+1 binning: K+1 ascending cut points giving K+2 right-closed bins."""
@@ -44,10 +56,13 @@ class BinningScheme:
     k_interior: int
 
     def __post_init__(self):
+        _check_scheme_params(self.k_interior, self.low_q, self.high_q)
         edges = np.asarray(self.edges, dtype=float)
         object.__setattr__(self, "edges", edges)
-        if edges.size != self.k_interior + 1:
-            raise ValueError("expected k_interior + 1 cut points")
+        if edges.ndim != 1 or edges.size != self.k_interior + 1:
+            raise ValueError("expected a flat list of k_interior + 1 cut points")
+        if not np.isfinite(edges).all():
+            raise ValueError("cut points must be finite")
         if not np.all(np.diff(edges) > 0):
             raise ValueError("edges must be strictly ascending")
 
@@ -122,10 +137,7 @@ def quantile_bins(
     a sort with ``linear_quantile`` (numpy's "linear" rule, bit for bit).
     """
     values = np.asarray(values, dtype=float)
-    if k_interior < 1:
-        raise ValueError("k_interior must be >= 1")
-    if not (0.0 < low_q < high_q < 1.0):
-        raise ValueError("need 0 < low_q < high_q < 1")
+    _check_scheme_params(k_interior, low_q, high_q)
     if values.size < k_interior + 2:
         raise ValueError("too few values for the requested bin count")
     lo, hi = linear_quantile(values, [low_q, high_q])
@@ -154,20 +166,51 @@ class KMeansModel:
     iterations_run: int
 
 
+def _distance_assign(points: np.ndarray):
+    """``assign(centroids) -> (labels, d2)`` for ``points``: nearest centroids by distance matrix.
+
+    The squared distances are ``p2 - 2p @ c.T + c2``, with ``2p`` and the
+    points' squared norms ``p2`` computed once here and the matrix built in
+    place by each call.  Labels are the rows' argmin (ties go to the lowest
+    index) and ``d2`` their clamped entries.
+    """
+    two_p = 2.0 * points
+    p2 = (points**2).sum(axis=1)[:, None]
+
+    def assign(centroids: np.ndarray):
+        sq = two_p @ centroids.T
+        np.subtract(p2, sq, out=sq)
+        sq += (centroids**2).sum(axis=1)
+        labels = sq.argmin(axis=1)
+        d2 = np.take_along_axis(sq, labels[:, None], axis=1)[:, 0]
+        return labels, np.maximum(d2, 0.0, out=d2)
+
+    return assign
+
+
 def _nearest(points: np.ndarray, centroids: np.ndarray):
     """Nearest-centroid labels and squared distances; ties go to the lowest index."""
-    sq = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids**2).sum(axis=1)[None, :]
-    )
-    labels = np.argmin(sq, axis=1)
-    d2 = np.maximum(sq[np.arange(points.shape[0]), labels], 0.0)
-    return labels, d2
+    return _distance_assign(points)(centroids)
 
 
 _EPS = np.finfo(float).eps / 2  # unit roundoff u
 _TINY = np.finfo(float).smallest_subnormal
+
+
+def _window_union(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The sorted positions in the union of the ranges ``[lo_j, hi_j)``, each once."""
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    if not lo.size:
+        return lo
+    by_start = np.argsort(lo, kind="stable")
+    lo, hi = lo[by_start], hi[by_start]
+    # a range starts where the ranges before it end, if that is later
+    reach = np.maximum.accumulate(hi)
+    lo[1:] = np.maximum(lo[1:], reach[:-1])
+    sizes = np.maximum(hi - lo, 0)
+    ends = sizes.cumsum()
+    return np.arange(ends[-1]) + np.repeat(lo - (ends - sizes), sizes)
 
 
 def _sorted_nearest(x: np.ndarray):
@@ -187,7 +230,8 @@ def _sorted_nearest(x: np.ndarray):
     is farther by at least as much, so ``argmin`` agrees with the exact
     order once 2(b - a)|m - x| > 2E, i.e. |m - x| > E / (b - a).  The window
     half-width 2E / (b - a) + 4u*S doubles that and absorbs the rounding of
-    m, of b - a and of the window's own ends.  Points inside a window go to
+    m, of b - a and of the window's own ends.  The points inside the windows
+    (their union, found by binary search in the sorted points) go to
     ``_nearest`` itself, so its arithmetic decides ties and near-ties (the
     lowest index wins).  Coincident centroids (b - a = 0) or a bound that
     overflows give an infinite window: then every point goes to ``_nearest``.
@@ -200,33 +244,47 @@ def _sorted_nearest(x: np.ndarray):
     x2, two_x = x**2, 2.0 * x
 
     def assign(centroids: np.ndarray):
-        k = centroids.shape[0]
         c = centroids[:, 0]
         corder = np.argsort(c, kind="stable")
         cs = c[corder]
-        scale = x_scale + np.abs(cs).max()
+        # cs is sorted, so its largest magnitude is at one end
+        scale = x_scale + max(abs(cs[0]), abs(cs[-1]))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bound = 6.0 * _EPS * scale * scale + 8.0 * _TINY
-            half = 2.0 * bound / np.diff(cs) + 4.0 * _EPS * scale
+            half = 2.0 * bound / (cs[1:] - cs[:-1]) + 4.0 * _EPS * scale
         if not np.isfinite(half).all():
             return _nearest(x[:, None], centroids)
         mids = (cs[:-1] + cs[1:]) / 2.0
-        cuts = np.searchsorted(xs, mids)
+        cuts = np.concatenate(([0], xs.searchsorted(mids), [n]))
         labels = np.empty(n, dtype=corder.dtype)
-        labels[order] = corder[np.repeat(np.arange(k), np.diff(cuts, prepend=0, append=n))]
-        lo = np.searchsorted(xs, mids - half, side="left")
-        hi = np.searchsorted(xs, mids + half, side="right")
-        covered = np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))
-        near = order[covered[:n] > 0]
+        labels[order] = np.repeat(corder, cuts[1:] - cuts[:-1])
+        near = order[
+            _window_union(
+                xs.searchsorted(mids - half, side="left"),
+                xs.searchsorted(mids + half, side="right"),
+            )
+        ]
         if near.size:
             labels[near] = _nearest(x[near, None], centroids)[0]
         cl = c[labels]
-        return labels, np.maximum(x2 - two_x * cl + cl**2, 0.0)
+        d2 = two_x * cl
+        np.subtract(x2, d2, out=d2)
+        cl *= cl
+        d2 += cl
+        return labels, np.maximum(d2, 0.0, out=d2)
 
     return assign
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each centroid a point drawn with probability ∝ its d², the rest uniform.
+
+    A d²-weighted draw is ``rng.choice(n, p=d2 / total)``'s own arithmetic
+    (a normalised cumulative sum searched with one ``rng.random()``), bit for
+    bit and with the same generator state after it; only ``choice``'s
+    re-validation of ``p`` is left out, as ``d2`` is finite and non-negative
+    by construction.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
     first = int(rng.integers(n))
@@ -237,9 +295,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1), out=d2)
     return centroids
 
 
@@ -264,12 +324,15 @@ def kmeans_fit(
     An emptied cluster is reseeded to the point farthest from its centroid.
 
     Multi-D points are assigned with the full point-by-centroid distance
-    matrix (``_nearest``).  1-D points are sorted once and, in each
-    iteration, cut at the sorted centroids' midpoints (``_sorted_nearest``);
-    points close enough to a midpoint for rounding to matter are re-decided
-    by ``_nearest``'s own arithmetic, so labels, centroids, inertia and
-    iteration count are those of the distance-matrix path, bit for bit.
-    Cluster sums accumulate in record order on either path.
+    matrix (``_distance_assign``, ``_nearest``'s arithmetic with the points'
+    doubled coordinates and squared norms computed once per fit).  1-D
+    points are sorted once and, in each iteration, cut at the sorted
+    centroids' midpoints (``_sorted_nearest``); points close enough to a
+    midpoint for rounding to matter are re-decided by ``_nearest``'s own
+    arithmetic, so labels, centroids, inertia and iteration count are those
+    of the distance-matrix path, bit for bit.  Cluster sums accumulate in
+    record order on either path, and each centroid is its sum divided by
+    its size.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -283,7 +346,7 @@ def kmeans_fit(
     if d == 1:
         assign = _sorted_nearest(points[:, 0])
     else:
-        assign = functools.partial(_nearest, points)
+        assign = _distance_assign(points)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
     labels, d2 = assign(centroids)
@@ -295,10 +358,9 @@ def kmeans_fit(
             [np.bincount(labels, weights=column, minlength=k) for column in points.T]
         )
         sizes = np.bincount(labels, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
-        nonempty = sizes > 0
-        centroids[nonempty] = sums[nonempty] / sizes[nonempty, None]
-        for j in empty:
+        # an emptied cluster keeps its centroid until it is reseeded below
+        np.divide(sums, sizes[:, None], out=centroids, where=sizes[:, None] > 0)
+        for j in np.flatnonzero(sizes == 0):
             far = int(np.argmax(d2))
             centroids[j] = points[far]
             d2[far] = 0.0

@@ -94,6 +94,39 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _parse_directive(col: str, spec) -> tuple:
+    """One column's categorization: "categorical", "METHOD:K" or a [METHOD, K] pair.
+
+    METHOD is quantile or kmeans and K a whole number >= 1; the pair is the
+    parsed form, so ["categorical", 0] stands for "categorical".  Anything
+    else is a ConfigError.
+    """
+    if (
+        isinstance(spec, list)
+        and len(spec) == 2
+        and isinstance(spec[0], str)
+        and type(spec[1]) is int
+    ):
+        spec = "categorical" if spec == ["categorical", 0] else f"{spec[0]}:{spec[1]}"
+    if not isinstance(spec, str):
+        raise ConfigError(f"bad categorization directive for {col!r}: {spec!r}")
+    item = f"{col}={spec}"
+    if spec == "categorical":
+        return ("categorical", 0)
+    if ":" not in spec:
+        raise ConfigError(f"bad categorization directive {item!r}")
+    method, k_text = spec.split(":", 1)
+    if method not in ("quantile", "kmeans"):
+        raise ConfigError(f"unknown categorization method {method!r}")
+    try:
+        k = int(k_text)
+    except ValueError as exc:
+        raise ConfigError(f"bad bin count in {item!r}") from exc
+    if k < 1:
+        raise ConfigError(f"bin count must be >= 1 in {item!r}")
+    return (method, k)
+
+
 def _parse_categorize(text: str | None) -> dict:
     """Parse "COL=quantile:10,COL2=kmeans:12,COL3=categorical" directives."""
     out: dict = {}
@@ -106,21 +139,7 @@ def _parse_categorize(text: str | None) -> dict:
         if "=" not in item:
             raise ConfigError(f"bad categorization directive {item!r}")
         col, spec = item.split("=", 1)
-        if spec == "categorical":
-            out[col.strip()] = ("categorical", 0)
-            continue
-        if ":" not in spec:
-            raise ConfigError(f"bad categorization directive {item!r}")
-        method, k_text = spec.split(":", 1)
-        if method not in ("quantile", "kmeans"):
-            raise ConfigError(f"unknown categorization method {method!r}")
-        try:
-            k = int(k_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad bin count in {item!r}") from exc
-        if k < 1:
-            raise ConfigError(f"bin count must be >= 1 in {item!r}")
-        out[col.strip()] = (method, k)
+        out[col.strip()] = _parse_directive(col.strip(), spec)
     return out
 
 
@@ -137,14 +156,65 @@ def _load_json_object(path: str, what: str) -> dict:
     return obj
 
 
-# The ProtocolConfig fields a flag or config file can set.  A given value is
-# converted to the type of the field's default; a field neither gives keeps it.
+# The ProtocolConfig fields a flag or config file can set.  A field neither
+# gives keeps its default.
 _PROTOCOL_FIELDS = ("max_order", "replicates", "seed", "threads", "r_int", "cell_floor")
+
+
+def _check_config_file(cfg: dict) -> dict:
+    """The config file's settings with each value checked against its key's form.
+
+    ``input`` and ``format`` are strings; ``response``, ``covariates`` and
+    ``noise_features`` are comma-separated text or a list of names;
+    ``categorize`` maps columns to ``_parse_directive``'s forms; the integer
+    protocol fields take whole JSON numbers and ``r_int``/``cell_floor`` any
+    JSON number (never a bool).  Other keys are ignored.  A value of the
+    wrong form is a ConfigError.
+    """
+
+    def bad(name, want):
+        return ConfigError(f"bad config value: {name!r} must be {want}, got {cfg[name]!r}")
+
+    out = dict(cfg)
+    for name in ("input", "format"):
+        if name in cfg and not isinstance(cfg[name], str):
+            raise bad(name, "a string")
+    for name in ("response", "covariates", "noise_features"):
+        value = cfg.get(name, "")
+        if not (
+            isinstance(value, str)
+            or isinstance(value, list) and all(isinstance(c, str) for c in value)
+        ):
+            raise bad(name, "comma-separated text or a list of names")
+    for name in _PROTOCOL_FIELDS:
+        if name not in cfg:
+            continue
+        value = cfg[name]
+        if isinstance(getattr(ProtocolConfig, name), int):
+            if type(value) is not int:
+                raise bad(name, "an integer")
+        elif type(value) not in (int, float):
+            raise bad(name, "a number")
+        else:
+            try:  # stored as a float, as the flag gives it, so the digest is the same
+                out[name] = float(value)
+            except OverflowError:
+                raise bad(name, "a number in double range") from None
+    if "categorize" in cfg:
+        if not isinstance(cfg["categorize"], dict):
+            raise bad("categorize", "an object mapping columns to directives")
+        try:
+            out["categorize"] = {
+                col: _parse_directive(col, spec) for col, spec in cfg["categorize"].items()
+            }
+        except ConfigError as exc:
+            raise ConfigError(f"bad config value: categorize: {exc}") from None
+    return out
 
 
 def build_run_config(args) -> RunConfig:
     file_cfg = (
-        _load_json_object(args.config, "config file") if getattr(args, "config", None) else {}
+        _check_config_file(_load_json_object(args.config, "config file")) if args.config else {}
     )
 
     def pick(name, flag_value, default=None):
@@ -159,32 +229,25 @@ def build_run_config(args) -> RunConfig:
             return tuple(c for c in value.split(",") if c)
         return tuple(value)
 
+    categorize = {**file_cfg.get("categorize", {}), **_parse_categorize(args.categorize)}
+    given = {
+        name: pick(name, getattr(args, name))
+        for name in _PROTOCOL_FIELDS
+        if getattr(args, name) is not None or name in file_cfg
+    }
+    noise = names("noise_features", args.noise)
     try:
-        categorize = dict(
-            (k, tuple(v)) for k, v in file_cfg.get("categorize", {}).items()
-        )
-        categorize.update(_parse_categorize(getattr(args, "categorize", None)))
-        given = {
-            name: type(getattr(ProtocolConfig, name))(pick(name, getattr(args, name, None)))
-            for name in _PROTOCOL_FIELDS
-            if getattr(args, name, None) is not None or name in file_cfg
-        }
-        noise = names("noise_features", getattr(args, "noise", None))
-        try:
-            protocol = ProtocolConfig(noise_features=noise, **given)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        config = RunConfig(
-            input_path=pick("input", getattr(args, "input", None)),
-            response=names("response", getattr(args, "response", None)),
-            covariates=names("covariates", getattr(args, "covariates", None)),
-            categorize=categorize,
-            protocol=protocol,
-            out_format=pick("format", getattr(args, "format", None), "tsv"),
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        # a config file value of the wrong type, e.g. {"r_int": "abc"}
-        raise ConfigError(f"bad config value: {exc}") from exc
+        protocol = ProtocolConfig(noise_features=noise, **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    config = RunConfig(
+        input_path=pick("input", args.input),
+        response=names("response", args.response),
+        covariates=names("covariates", args.covariates),
+        categorize=categorize,
+        protocol=protocol,
+        out_format=pick("format", args.format, "tsv"),
+    )
     if "max_order" in given and config.covariates:
         _check_max_order(config)
     return config

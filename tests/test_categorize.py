@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ceda.categorize
 from ceda.categorize import (
@@ -20,10 +21,42 @@ from ceda.genlab import GeneratorSpec, sample
 from ceda.tabulate import CategoricalSeries
 
 
+def reference_nearest(points, centroids):
+    """Nearest centroids from the distance matrix in one expression, kept as the oracle."""
+    sq = (
+        (points**2).sum(axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + (centroids**2).sum(axis=1)[None, :]
+    )
+    labels = np.argmin(sq, axis=1)
+    d2 = np.maximum(sq[np.arange(points.shape[0]), labels], 0.0)
+    return labels, d2
+
+
+def reference_kmeans_pp_init(points, k, rng):
+    """k-means++ seeding with ``rng.choice`` draws, kept as the oracle."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
 def reference_kmeans_fit(
     points, k, seed=0, max_iter=300, rel_tol=1e-6, reseeds=None, stop_at_repeat=True
 ):
     """The distance-matrix Lloyd loop with ``np.add.at`` sums, kept as the oracle.
+
+    Points are assigned with ``reference_nearest`` and seeded with
+    ``reference_kmeans_pp_init``, so no code under test takes part.
 
     With ``stop_at_repeat`` it also stops once the centroids repeat those of
     an earlier iteration and the cycle is in the state the ``max_iter``-th
@@ -36,8 +69,8 @@ def reference_kmeans_fit(
     if points.ndim == 1:
         points = points[:, None]
     d = points.shape[1]
-    centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
-    labels, d2 = _nearest(points, centroids)
+    centroids = reference_kmeans_pp_init(points, k, np.random.default_rng(seed))
+    labels, d2 = reference_nearest(points, centroids)
     inertia = float(d2.sum())
     history = [centroids.tobytes()]
     iterations = 0
@@ -53,7 +86,7 @@ def reference_kmeans_fit(
             d2[far] = 0.0
             if reseeds is not None:
                 reseeds.append((j, int(labels[far])))
-        labels, d2 = _nearest(points, centroids)
+        labels, d2 = reference_nearest(points, centroids)
         new_inertia = float(d2.sum())
         if inertia > 0 and (inertia - new_inertia) / inertia < rel_tol:
             inertia = new_inertia
@@ -125,6 +158,40 @@ class TestQuantileBins:
         back = BinningScheme.from_json(scheme.to_json())
         assert np.array_equal(back.edges, scheme.edges)
         assert back.k_interior == scheme.k_interior
+
+
+class TestBinningScheme:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"edges": [[0.1], [0.2]]}, "flat list"),
+            ({"edges": [], "k_interior": -1}, "k_interior must be >= 1"),
+            ({"edges": [0.1], "k_interior": 0}, "k_interior must be >= 1"),
+            ({"k_interior": True}, "k_interior must be an integer"),
+            ({"k_interior": 1.0}, "k_interior must be an integer"),
+            ({"k_interior": "1"}, "k_interior must be an integer"),
+            ({"low_q": "a"}, "0 < low_q < high_q < 1"),
+            ({"low_q": False}, "0 < low_q < high_q < 1"),
+            ({"high_q": None}, "0 < low_q < high_q < 1"),
+            ({"low_q": 0.0}, "0 < low_q < high_q < 1"),
+            ({"low_q": 0.9, "high_q": 0.1}, "0 < low_q < high_q < 1"),
+            ({"high_q": 1.0}, "0 < low_q < high_q < 1"),
+            ({"edges": [0.1, float("inf")]}, "finite"),
+            ({"edges": [0.1, float("nan")]}, "finite"),
+            ({"edges": [0.2, 0.1]}, "strictly ascending"),
+            ({"edges": [0.1, 0.2, 0.3]}, "k_interior \\+ 1 cut points"),
+        ],
+    )
+    def test_malformed_field_rejected(self, fields, message):
+        good = {"edges": [0.1, 0.2], "low_q": 0.05, "high_q": 0.95, "k_interior": 1}
+        with pytest.raises(ValueError, match=message):
+            BinningScheme(**{**good, **fields})
+
+    def test_numpy_integer_and_float_fields_accepted(self):
+        scheme = BinningScheme(
+            edges=[0.1, 0.2, 0.3], low_q=np.float64(0.05), high_q=0.95, k_interior=np.int64(2)
+        )
+        assert scheme.n_bins == 4
 
 
 class TestApplyBins:
@@ -309,6 +376,62 @@ class TestKMeans:
         model = kmeans_fit(values, 22, seed=1)
         assert model.iterations_run > 5
         assert sum(sent) < 0.01 * values.size * (model.iterations_run + 1)
+
+
+@st.composite
+def awkward_fits(draw, dims=(1, 2, 3)):
+    """Points, k and seed for a fit: ties, duplicates, k near n, tiny to huge magnitudes.
+
+    Coordinates are small integers (exact ties, duplicated points, coincident
+    k-means++ centroids and emptied clusters) or floats, times a power of ten
+    from 1e-300 (squares and products underflow to subnormals or zero) to
+    1e150 (squares near the top of the double range).
+    """
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(float)
+    else:
+        coord = st.floats(-4.0, 4.0, allow_subnormal=False)
+    distinct = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    # the narrow band near 1e-160 is where products are partly subnormal
+    scale = 10.0 ** draw(st.one_of(st.integers(-300, 150), st.integers(-165, -150)))
+    points = np.array([distinct[i] for i in picks]) * scale
+    k = n - draw(st.integers(0, min(3, n - 1))) if draw(st.booleans()) else draw(st.integers(1, n))
+    return points, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestKMeansOracles:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(awkward_fits())
+    def test_fit_equals_the_reference_bit_for_bit(self, fit):
+        points, k, seed = fit
+        labels, centroids, inertia, iterations = reference_kmeans_fit(points, k, seed=seed)
+        model = kmeans_fit(points, k, seed=seed)
+        assert model.assignments.labels.tolist() == labels
+        assert model.centroids.tobytes() == centroids
+        assert np.float64(model.inertia).tobytes() == np.float64(inertia).tobytes()
+        assert model.iterations_run == iterations
+
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_fits())
+    def test_seeding_equals_the_choice_reference_and_leaves_the_same_state(self, fit):
+        points, k, seed = fit
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centroids = _kmeans_pp_init(points, k, rng)
+        assert centroids.tobytes() == reference_kmeans_pp_init(points, k, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(awkward_fits(dims=(2, 3)), st.data())
+    def test_nearest_equals_the_reference_bit_for_bit(self, fit, data):
+        points, k, _ = fit
+        rows = data.draw(st.lists(st.integers(0, points.shape[0] - 1), min_size=k, max_size=k))
+        centroids = points[rows] * data.draw(st.sampled_from([1.0, 0.5, -3.0]))
+        got, want = _nearest(points, centroids), reference_nearest(points, centroids)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestFuseFeatures:

@@ -163,6 +163,79 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "entry, flag",
+        [
+            ('"quantile:7"', "X1=quantile:7"),
+            ('["quantile", 7]', "X1=quantile:7"),
+            ('"kmeans:5"', "X1=kmeans:5"),
+            ('"categorical"', "X1=categorical"),
+            ('["categorical", 0]', "X1=categorical"),
+        ],
+    )
+    def test_config_categorize_entry_runs_as_its_flag(self, capsys, tmp_path, ex4_csv, entry, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"categorize": {"X1": %s}}' % entry)
+        common = ("measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2")
+        code, out, err = run(capsys, *common, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *common, "--categorize", flag)[1]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '["quantile", "10"]', '["bogus", 3]', '["quantile", 0]', '["quantile", 2.5]',
+            '["quantile", true]', '["quantile", 10, 1]', '["quantile"]', '["categorical", 3]',
+            '"quantile"', '"quantile:0"', '"quantile:x"', '"bogus:3"', '"categorical:3"',
+            "5", "null", "true", '{"quantile": 10}',
+        ],
+    )
+    def test_malformed_config_categorize_entry_is_exit_3(self, capsys, tmp_path, ex4_csv, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"categorize": {"X1": %s}}' % entry)
+        code, out, err = run(
+            capsys, "select", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            "--replicates", "20", "--config", str(cfg),
+        )
+        assert code == 3
+        assert err.startswith("config error: bad config value: categorize:")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"max_order": 1.5}', '{"seed": true}', '{"seed": 1.0}', '{"replicates": "20"}',
+            '{"threads": null}', '{"r_int": true}', '{"r_int": "3"}', '{"cell_floor": [1]}',
+            pytest.param('{"r_int": 1%s}' % ("0" * 400), id="r_int-past-double-range"),
+            '{"input": 5}', '{"format": null}',
+            '{"response": [1]}', '{"covariates": [["X1"]]}', '{"noise_features": {"X1": 1}}',
+            '{"categorize": ["X1", "quantile:3"]}',
+        ],
+    )
+    def test_config_value_of_the_wrong_form_is_exit_3(self, capsys, tmp_path, ex4_csv, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out, err = run(
+            capsys, "measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            "--config", str(cfg),
+        )
+        assert code == 3
+        assert err.startswith("config error: bad config value:")
+        assert out == ""
+
+    def test_config_numbers_of_the_right_form_are_accepted(self, capsys, tmp_path, ex4_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 3, "r_int": 2, "cell_floor": 0.5, "max_order": 1}')
+        code, out, _ = run(
+            capsys, "measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            "--config", str(cfg),
+        )
+        assert code == 0
+        assert out == run(
+            capsys, "measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            "--seed", "3", "--r-int", "2.0", "--cell-floor", "0.5", "--max-order", "1",
+        )[1]
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--r-int", "nan", "r_int must be finite and > 0"),
@@ -454,6 +527,30 @@ class TestBinsCommand:
         expected = apply_bins(data["Y"], quantile_bins(data["Y"], 10)).labels
         assert labels == expected.tolist()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"edges": [[0.1], [0.2]], "k_interior": 1},
+            {"edges": [], "k_interior": -1},
+            {"low_q": "a"},
+            {"k_interior": True},
+            {"k_interior": 1.0},
+            {"high_q": 1.5},
+            {"edges": [0.1, None], "k_interior": 1},
+            {"edges": "0.1", "k_interior": 0},
+        ],
+        ids=["nested-edges", "negative-k", "string-q", "bool-k", "float-k", "q-above-1",
+             "null-edge", "string-edges"],
+    )
+    def test_malformed_replay_scheme_is_exit_3(self, capsys, tmp_path, ex1_csv, fields):
+        scheme = {"edges": [0.1, 0.2], "low_q": 0.05, "high_q": 0.95, "k_interior": 1}
+        replay_path = tmp_path / "schemes.json"
+        replay_path.write_text(json.dumps({"Y": {**scheme, **fields}}))
+        code, out, err = run(capsys, "bins", "--input", ex1_csv, "--replay", str(replay_path))
+        assert code == 3
+        assert err.startswith("config error: replay file") and "bad scheme for 'Y'" in err
+        assert out == ""
+
     def test_replay_of_its_own_output_skips_the_provenance_keys(self, capsys, tmp_path, ex1_csv):
         scheme_path = tmp_path / "schemes.json"
         code, _, _ = run(
@@ -665,9 +762,81 @@ FLAGS = {
 }
 
 
+# JSON values of every kind, for config keys and scheme fields
+AWKWARD = st.one_of(
+    st.text(max_size=4),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.integers(-2, 5),
+    st.lists(st.one_of(st.integers(0, 3), st.floats(0, 1), st.text(max_size=2)), max_size=3),
+    st.just([["X1"]]),
+    st.just({"X1": 1}),
+)
+CONFIG_VALUES = {
+    "max_order": [1, 2],
+    "replicates": [2, 5],
+    "seed": [0, 1],
+    "threads": [1, 2],
+    "r_int": [3, 0.5],
+    "cell_floor": [0, 1.0],
+    "input": ["", "no/such.csv"],
+    "format": ["tsv", "json"],
+    "response": ["Y", ["Y"]],
+    "covariates": ["X1,X2", ["X1"]],
+    "noise_features": ["X2", []],
+}
+DIRECTIVES = [
+    "quantile:3", "kmeans:2", "categorical", ["quantile", 3], ["kmeans", 2], ["categorical", 0],
+    "quantile:0", ["quantile", "3"], ["bogus", 3], ["quantile", 0], ["quantile", 1.5],
+]
+
+
+@st.composite
+def config_files(draw):
+    """A JSON config file whose keys hold well-formed or awkward values."""
+    cfg = {}
+    for key, good in CONFIG_VALUES.items():
+        if draw(st.integers(0, 3)) == 3:
+            cfg[key] = draw(st.sampled_from(good) if draw(st.integers(0, 2)) else AWKWARD)
+    if draw(st.booleans()):
+        cfg["categorize"] = draw(
+            st.dictionaries(
+                st.sampled_from(["Y", "X1", "X2", "Z"]),
+                st.one_of(st.sampled_from(DIRECTIVES), AWKWARD),
+                max_size=3,
+            )
+            if draw(st.integers(0, 9))
+            else AWKWARD
+        )
+    return json.dumps(cfg)
+
+
+@st.composite
+def replay_files(draw):
+    """A JSON scheme file for ``bins --replay`` whose schemes may have malformed fields."""
+    edges = st.one_of(
+        st.just([0.5, 1.5]),
+        st.sampled_from([[[0.1], [0.2]], [], [1.5, 0.5], [0.1, None], [0.5, 1.5, 2.5]]),
+        AWKWARD,
+    )
+    schemes = {}
+    for column in draw(st.lists(st.sampled_from(["Y", "X1", "Z"]), min_size=1, max_size=2)):
+        scheme = {"edges": [0.5, 1.5], "low_q": 0.05, "high_q": 0.95, "k_interior": 1}
+        for key, bad in (("edges", edges), ("low_q", AWKWARD), ("high_q", AWKWARD),
+                         ("k_interior", AWKWARD)):
+            if draw(st.integers(0, 3)) == 3:
+                scheme[key] = draw(bad)
+        if draw(st.integers(0, 9)) == 9:
+            del scheme[draw(st.sampled_from(sorted(scheme)))]
+        schemes[column] = scheme if draw(st.integers(0, 9)) else draw(AWKWARD)
+    return json.dumps(schemes)
+
+
 @st.composite
 def cli_runs(draw):
-    """A small CSV with awkward columns, and one command with flags at or past their bounds."""
+    """A small CSV with awkward columns, one command with flags at or past their bounds,
+    and the contents of the JSON files it reads (``--config``, ``bins --replay``)."""
 
     def value(flag):
         good, bad = FLAGS[flag]
@@ -688,9 +857,14 @@ def cli_runs(draw):
 
     command = draw(st.sampled_from(["measure", "null", "bins", "select", "grid", "simulate"]))
     seed = ["--seed", value("--seed")] if draw(st.booleans()) else []
+    files = {}
+    if draw(st.booleans()):
+        files["--config"] = draw(config_files())
     if command == "simulate":
         example = draw(st.sampled_from(EXAMPLE_IDS))
-        return text, ["simulate", "--example", example, "--n", value("--n"), *seed]
+        return text, ["simulate", "--example", example, "--n", value("--n"), *seed], files
+    if command == "bins" and draw(st.booleans()):
+        files["--replay"] = draw(replay_files())
     roles = [("Y", "X1,X2")] * 3 + [("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y")]
     if command == "grid":
         roles = [("Y", "X1")] * 3 + roles
@@ -705,24 +879,30 @@ def cli_runs(draw):
     for flag in ("--max-order", "--threads", "--r-int", "--cell-floor", "--noise", "--subsets"):
         if (flag != "--subsets" or command in ("measure", "null")) and draw(st.booleans()):
             argv += [flag, value(flag)]
-    return text, argv + ["--format", draw(st.sampled_from(["tsv", "json"]))]
+    return text, argv + ["--format", draw(st.sampled_from(["tsv", "json"]))], files
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_runs())
 def test_exit_code_contract(tmp_path_factory, run_case):
     """Every input ends in exit 0 with a parseable report, 2 or 3; never in a traceback."""
-    text, argv = run_case
-    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
-    path.write_text(text)
+    text, argv, files = run_case
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "d.csv").write_text(text)
+    paths = ["--input", str(folder / "d.csv")]
+    for flag, content in files.items():
+        (folder / f"{flag[2:]}.json").write_text(content)
+        paths += [flag, str(folder / f"{flag[2:]}.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--input", str(path)])
+        code = main([*argv, *paths])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 0:
         report = out.getvalue()
-        if argv[0] == "simulate":
+        if "--replay" in files:
+            assert report.splitlines()[0].split(",") == list(json.loads(files["--replay"]))
+        elif argv[0] == "simulate":
             assert len(report.splitlines()) == 1 + int(argv[argv.index("--n") + 1])
         elif argv[0] == "bins" or argv[-1] == "json":
             assert "config_digest" in json.loads(report)
