@@ -10,7 +10,7 @@ grid      mutual-information grid over K-means cluster-count ladders
 select    full subset ledger plus the major-factor report
 
 Data goes to stdout or ``--out``; progress lines go to stderr.  Exit codes:
-0 success, 2 data error (bad input file), 3 configuration error.
+0 success, 2 data error (bad input file), 3 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ceda.tabulate import CategoricalSeries, crosstab, entropy_report, mutual_information
+from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
 from ceda.categorize import (
     BinningScheme,
     apply_bins,
@@ -33,7 +33,7 @@ from ceda.categorize import (
     product_categories,
     quantile_bins,
 )
-from ceda.nullsim import c1_test, child_rng, null_band
+from ceda.nullsim import child_rng, mi_verdict
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import (
     ProtocolConfig,
@@ -53,6 +53,11 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Invalid or unreadable input data; maps to exit code 2."""
+
+
+# The ProtocolConfig fields a flag or config file can set.  A field neither
+# gives keeps its default.
+_PROTOCOL_FIELDS = ("max_order", "replicates", "seed", "threads", "r_int", "cell_floor")
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,20 @@ class RunConfig:
                 f"columns cannot be both response and covariate: {sorted(overlap)}"
             )
 
+    def directive(self, col: str) -> tuple:
+        """The column's ``(method, k)``: ``("quantile", 10)`` unless it has its own."""
+        return self.categorize.get(col, ("quantile", 10))
+
     def digest(self) -> str:
+        protocol = {n: getattr(self.protocol, n) for n in _PROTOCOL_FIELDS if n != "threads"}
         blob = json.dumps(
             {
                 "input": self.input_path,
                 "response": list(self.response),
                 "covariates": list(self.covariates),
                 "categorize": {k: list(v) for k, v in sorted(self.categorize.items())},
-                "max_order": self.protocol.max_order,
-                "replicates": self.protocol.replicates,
-                "seed": self.protocol.seed,
-                "r_int": self.protocol.r_int,
-                "cell_floor": self.protocol.cell_floor,
                 "noise": list(self.protocol.noise_features),
+                **protocol,
             },
             sort_keys=True,
         )
@@ -154,11 +160,6 @@ def _load_json_object(path: str, what: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must hold a JSON object")
     return obj
-
-
-# The ProtocolConfig fields a flag or config file can set.  A field neither
-# gives keeps its default.
-_PROTOCOL_FIELDS = ("max_order", "replicates", "seed", "threads", "r_int", "cell_floor")
 
 
 def _check_config_file(cfg: dict) -> dict:
@@ -289,9 +290,7 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
     index = {c: header.index(c) for c in wanted}
     n_fields = len(header)
     columns: dict[str, list] = {c: [] for c in wanted}
-    categorical = {
-        c for c in wanted if config.categorize.get(c, ("", 0))[0] == "categorical"
-    }
+    categorical = {c for c in wanted if config.directive(c)[0] == "categorical"}
     for i, row in enumerate(rows, start=1):
         if len(row) != n_fields:
             raise DataError(
@@ -322,7 +321,7 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
 def _require_numeric(config: RunConfig, columns):
     """K-means clusters numbers: a column declared categorical is a ConfigError."""
     for c in columns:
-        if config.categorize.get(c, ("", 0))[0] == "categorical":
+        if config.directive(c)[0] == "categorical":
             raise ConfigError(f"column {c!r}: K-means cannot cluster a categorical column")
 
 
@@ -335,7 +334,7 @@ def _quantile_scheme(name: str, values: np.ndarray, k: int) -> BinningScheme:
 
 
 def _categorize_column(name: str, values: np.ndarray, config: RunConfig) -> CategoricalSeries:
-    method, k = config.categorize.get(name, ("quantile", 10))
+    method, k = config.directive(name)
     if method == "categorical":
         uniq, inverse = np.unique(values, return_inverse=True)
         return CategoricalSeries(labels=inverse.ravel(), cardinality=uniq.size)
@@ -364,7 +363,7 @@ def _build_series(data, config: RunConfig):
         # multi-column response: K-means fusion on the stacked coordinates
         _require_numeric(config, config.response)
         block = np.column_stack([data[c] for c in config.response])
-        k = config.categorize.get(config.response[0], ("kmeans", 10))[1]
+        k = config.directive(config.response[0])[1]
         response = _kmeans_series(",".join(config.response), block, k, config)
     covs = {c: _categorize_column(c, data[c], config) for c in config.covariates}
     return covs, response
@@ -397,6 +396,15 @@ def _emit(text: str, out_path: str | None):
             raise ConfigError(f"cannot write --out {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(columns: dict, out_path: str | None):
+    """Write named columns as CSV: integers as they are, floats to 17 significant digits."""
+    cells = [
+        map(str if np.issubdtype(col.dtype, np.integer) else "{:.17g}".format, col.tolist())
+        for col in columns.values()
+    ]
+    _emit("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n", out_path)
 
 
 def _provenance(config: RunConfig) -> dict:
@@ -449,17 +457,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     data = sample(spec)
-    names = list(data)
-    n = len(next(iter(data.values())))
-    cells = [
-        map(str, col.tolist())
-        if np.issubdtype(col.dtype, np.integer)
-        else map("{:.17g}".format, col.tolist())
-        for col in (data[c] for c in names)
-    ]
-    lines = [",".join(names), *map(",".join, zip(*cells))]
-    _emit("\n".join(lines) + "\n", args.out)
-    _log(f"simulate {args.example}: {n} rows, seed {spec.seed}")
+    _emit_csv(data, args.out)
+    _log(f"simulate {args.example}: {len(next(iter(data.values())))} rows, seed {spec.seed}")
     return 0
 
 
@@ -473,11 +472,10 @@ def cmd_bins(args) -> int:
             for c, s in _load_json_object(args.replay, "replay file").items()
             if c not in provenance
         }
-        cols = list(schemes)
-        if not cols:
+        if not schemes:
             raise ConfigError(f"replay file {args.replay} holds no schemes")
         # read exactly the scheme's columns: a column the CSV lacks is a data error
-        data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(cols)))
+        data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(schemes)))
         labeled = {}
         for c, s in schemes.items():
             try:
@@ -487,15 +485,13 @@ def cmd_bins(args) -> int:
                     f"replay file {args.replay}: bad scheme for {c!r}: {exc}"
                 ) from exc
             labeled[c] = apply_bins(data[c], scheme).labels
-        cells = [map(str, labeled[c].tolist()) for c in cols]
-        lines = [",".join(cols), *map(",".join, zip(*cells))]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit_csv(labeled, args.out)
         return 0
     data = ingest_csv(config.input_path, config)
     out = dict(_provenance(config))
     targets = list(config.covariates) + list(config.response) or list(data)
     for c in targets:
-        method, k = config.categorize.get(c, ("quantile", 10))
+        method, k = config.directive(c)
         if method != "quantile":
             continue
         out[c] = json.loads(_quantile_scheme(c, data[c], k).to_json())
@@ -526,10 +522,7 @@ def cmd_null(args) -> int:
     protocol = config.protocol
     rows = []
     for j, (subset, table) in enumerate(tables):
-        band = null_band(
-            table, "mutual_information", protocol.replicates, child_rng(protocol.seed, 10, j)
-        )
-        verdict = c1_test(mutual_information(table), band)
+        verdict = mi_verdict(table, protocol.replicates, child_rng(protocol.seed, 10, j))
         rows.append((subset, verdict))
         _log(f"null {'+'.join(subset)}: {verdict.status}")
     fields = {
@@ -663,8 +656,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write data here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are ConfigErrors (exit 3), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ceda",
         description="Categorical exploratory analysis of response/covariate data",
     )

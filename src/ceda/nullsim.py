@@ -32,8 +32,11 @@ from ceda.tabulate import (
     CategoricalSeries,
     ContingencyTable,
     column_margin_entropy,
+    counts_ce,
     crosstab,  # noqa: F401  (unused; bench/test_bench.py expects the tracer to wrap it here)
     fuse_labels,
+    mutual_information,
+    xlogx_table,
 )
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "NullBand",
     "c1_test",
     "child_rng",
+    "mi_verdict",
     "mimic_ce_samples",
     "mimic_table",
     "null_band",
@@ -114,12 +118,6 @@ def band_from_samples(name: str, samples: np.ndarray) -> NullBand:
     )
 
 
-def _xlogx_table(total: int) -> np.ndarray:
-    """k*log(k) for every count k in 0..total; entry 0 is 0.0."""
-    k = np.arange(1, total + 1, dtype=float)
-    return np.concatenate(([0.0], k * np.log(k)))
-
-
 def mimic_table(table: ContingencyTable, rng: np.random.Generator) -> np.ndarray:
     """One mimic's R x C count matrix: per response column, a multinomial split over the rows.
 
@@ -156,13 +154,17 @@ def mimic_ce_samples(
     n_rows, n_cols = counts.shape
     total = float(table.total)
     probs = table.row_margin / total
-    xlogx = _xlogx_table(table.total)
+    xlogx = xlogx_table(table.total)
 
     remaining = np.broadcast_to(
         table.col_margin, (n_replicates, n_cols)
     ).astype(np.int64)
     cell_xlogx = np.zeros(n_replicates)
     row_xlogx = np.zeros(n_replicates)
+    # reused on every row: fresh temporaries this large (past glibc's mmap and
+    # trim thresholds at 200 x 102) went back to the OS and were refaulted per row
+    terms = np.empty((n_replicates, n_cols))
+    sums = np.empty((n_replicates, n_cols))
     p_left = 1.0
     for r in range(n_rows):
         if r == n_rows - 1:
@@ -172,7 +174,8 @@ def mimic_ce_samples(
             draw = rng.binomial(remaining, min(max(p, 0.0), 1.0))
             np.subtract(remaining, draw, out=remaining)
             p_left -= probs[r]
-        cell_xlogx += np.add.accumulate(xlogx[draw], axis=1)[:, -1]
+        np.take(xlogx, draw, out=terms)
+        cell_xlogx += np.add.accumulate(terms, axis=1, out=sums)[:, -1]
         row_xlogx += xlogx[draw.sum(axis=1)]
     ce = (row_xlogx - cell_xlogx) / total
     return np.maximum(ce, 0.0)
@@ -221,6 +224,12 @@ def c1_test(observed: float, band: NullBand) -> C1Verdict:
     else:
         excess = 0.0
     return C1Verdict(observed=float(observed), band=band, status=status, excess_sd=excess)
+
+
+def mi_verdict(table: ContingencyTable, n_replicates: int, rng: np.random.Generator) -> C1Verdict:
+    """The [C1] test: the table's I[Y; A] against its mimic null band from ``rng``."""
+    band = null_band(table, "mutual_information", n_replicates, rng)
+    return c1_test(mutual_information(table), band)
 
 
 def synthetic_noise_series(
@@ -275,12 +284,11 @@ def synthetic_ce_samples(
     one bincount (see ``_block_ce``): into its dense table while that has at
     most ``SYNTHETIC_BLOCK_VALUES`` cells, else after fusing the block's
     occupied label tuples.  Each replicate's occupied rows come out in
-    ``crosstab``'s row order, and its entropy sums their x*log(x) terms
-    (zero cells included) in that order, as ``conditional_entropy`` sums its
-    table's.
+    ``crosstab``'s row order, and its entropy is ``tabulate.counts_ce`` of
+    them, as ``conditional_entropy`` is of its table.
     """
     n = len(response)
-    xlogx = _xlogx_table(n)
+    xlogx = xlogx_table(n)
     block = max(1, SYNTHETIC_BLOCK_VALUES // (n * pad))
     samples = []
     for first in range(0, replicates, block):
@@ -324,25 +332,13 @@ def _block_ce(
         codes *= n_cols
         codes += response.labels
         full = np.bincount(codes.ravel(), minlength=b * span * n_cols).reshape(b, span, n_cols)
-        row_sums = full.sum(axis=2)
-        ces = []
-        for r in range(b):
-            occupied = row_sums[r] > 0
-            cells = full[r][occupied].ravel()
-            h = (xlogx[row_sums[r][occupied]].sum() - xlogx[cells].sum()) / n
-            ces.append(max(h, 0.0))
-        return ces
+        return [counts_ce(rep[rep.any(axis=1)], xlogx) for rep in full]
     series = [CategoricalSeries(np.repeat(np.arange(b), n), b)]
     series += [CategoricalSeries(np.tile(s.labels, b), s.cardinality) for s in base]
     series += [CategoricalSeries(noise[:, j].ravel(), card) for j in range(pad)]
     rows, n_rows = fuse_labels(series)
     cells = np.bincount(rows * n_cols + np.tile(response.labels, b), minlength=n_rows * n_cols)
-    row_terms = xlogx[np.bincount(rows, minlength=n_rows)]
-    ces = []
-    start = 0
+    cells = cells.reshape(n_rows, n_cols)
     # the replicate index leads the fusion: replicate r's rows end at its largest rank
-    for stop in (rows.reshape(b, n).max(axis=1) + 1).tolist():
-        h = (row_terms[start:stop].sum() - xlogx[cells[start * n_cols : stop * n_cols]].sum()) / n
-        ces.append(max(h, 0.0))
-        start = stop
-    return ces
+    stops = (rows.reshape(b, n).max(axis=1) + 1).tolist()
+    return [counts_ce(cells[start:stop], xlogx) for start, stop in zip([0] + stops, stops)]

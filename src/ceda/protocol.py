@@ -26,21 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ceda.tabulate import (
-    CategoricalSeries,
-    conditional_entropy,
-    crosstab,
-    entropy_report,
-    mutual_information,
-)
+from ceda.tabulate import CategoricalSeries, conditional_entropy, crosstab, entropy_report
 from ceda.categorize import fuse_features, product_categories
 from ceda.nullsim import (
     C1Verdict,
     NullBand,
     band_from_samples,
-    c1_test,
     child_rng,
-    null_band,
+    mi_verdict,
     synthetic_ce_samples,
 )
 
@@ -235,18 +228,13 @@ class SubsetEvaluator:
     def mi_verdict(self, subset: tuple) -> C1Verdict:
         """[C1] verdict on I[Y; subset] against its mimic null band."""
 
-        def compute():
-            cfg = self.config
-            table = self.table(subset)
-            band = null_band(
-                table,
-                "mutual_information",
-                cfg.replicates,
-                child_rng(cfg.seed, 1, _subset_tag(subset)),
-            )
-            return c1_test(mutual_information(table), band)
-
-        return self._memo.get(("verdict", subset), compute)
+        cfg = self.config
+        return self._memo.get(
+            ("verdict", subset),
+            lambda: mi_verdict(
+                self.table(subset), cfg.replicates, child_rng(cfg.seed, 1, _subset_tag(subset))
+            ),
+        )
 
     def _bins_for_noise(self) -> int:
         return max(c.cardinality for c in self.covariates.values())
@@ -387,9 +375,7 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
 def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntry:
     config = evaluator.config
     k = len(subset)
-    cardinality_product = 1
-    for f in subset:
-        cardinality_product *= evaluator.covariates[f].cardinality
+    cardinality_product = math.prod(evaluator.covariates[f].cardinality for f in subset)
     est_cells = cardinality_product * evaluator.response.cardinality
     if est_cells > CELL_BUDGET:
         return SubsetLedgerEntry(
@@ -629,17 +615,8 @@ def mi_grid(
     def cell(pair):
         ky, kx = pair
         table = crosstab(x_cat[kx], y_cat[ky])
-        report = entropy_report(table)
-        band = null_band(
-            table, "mutual_information", n_replicates, child_rng(seed, 2, ky, kx)
-        )
-        return GridCell(
-            y_bins=ky,
-            x_bins=kx,
-            report=report,
-            band=band,
-            verdict=c1_test(report.mutual_info, band),
-        )
+        verdict = mi_verdict(table, n_replicates, child_rng(seed, 2, ky, kx))
+        return GridCell(ky, kx, entropy_report(table), verdict.band, verdict)
 
     pairs = [(ky, kx) for ky in y_bins_ladder for kx in x_bins_ladder]
     return _map(cell, pairs, threads)

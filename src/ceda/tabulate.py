@@ -32,22 +32,21 @@ __all__ = [
 MI_CLAMP = 1e-12
 
 
-def _xlogx(a: np.ndarray) -> np.ndarray:
-    """x*ln(x) elementwise with the 0*ln(0)=0 convention."""
-    a = np.asarray(a, dtype=float)
-    out = np.zeros_like(a)
-    pos = a > 0
-    out[pos] = a[pos] * np.log(a[pos])
-    return out
+def xlogx_table(total: int) -> np.ndarray:
+    """k*ln(k) for every count k in 0..total, entry 0 being 0.0: one float per record."""
+    k = np.arange(1, total + 1, dtype=float)
+    return np.concatenate(([0.0], k * np.log(k)))
 
 
-def counts_entropy(counts: np.ndarray) -> float:
-    """Shannon entropy (nats) of the distribution proportional to ``counts``."""
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    return float(np.log(total) - _xlogx(counts).sum() / total)
+def counts_ce(counts: np.ndarray, xlogx: np.ndarray) -> float:
+    """H[Y|A] of a count matrix whose rows are all occupied, summed in row order.
+
+    ``max((sum of xlogx[row sums] - sum of xlogx[cells]) / n, 0)``, n the
+    matrix total; ``xlogx`` is an ``xlogx_table`` reaching the largest row sum.
+    """
+    row_sums = counts.sum(axis=1)
+    h = (xlogx[row_sums].sum() - xlogx[counts].sum()) / row_sums.sum()
+    return max(float(h), 0.0)
 
 
 @dataclass(frozen=True)
@@ -196,18 +195,15 @@ def column_margin_entropy(table: ContingencyTable) -> float:
     """Entropy of the response margin, H[Y], skipping empty columns."""
     if table.total <= 0:
         raise ValueError("table total must be positive")
-    return counts_entropy(table.col_margin)
+    total = table.total
+    return float(np.log(total) - xlogx_table(total)[table.col_margin].sum() / total)
 
 
 def conditional_entropy(table: ContingencyTable) -> float:
     """Row-weighted entropy of the within-row response distributions, H[Y|A]."""
     if table.total <= 0:
         raise ValueError("table total must be positive")
-    counts = table.counts.astype(float)
-    n = float(table.total)
-    row_sums = counts.sum(axis=1)
-    h = (_xlogx(row_sums).sum() - _xlogx(counts).sum()) / n
-    return float(max(h, 0.0))
+    return counts_ce(table.counts, xlogx_table(table.total))
 
 
 def mutual_information(table: ContingencyTable) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import ceda.protocol
+import ceda.nullsim
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
@@ -133,6 +133,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "config error: max-order 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--seed", "abc"],
+            ["select", "--format", "xml"],
+            ["simulate"],
+            ["simulate", "--example", "ex1", "--n", "1.5"],
+            ["measure", "--replicates", "abc"],
+            ["null", "--r-int", "x"],
+            ["grid", "--no-such-flag"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_usage_error_is_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("config error: ceda")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "command", [[], ["simulate"], ["bins"], ["measure"], ["null"], ["grid"], ["select"]]
+    )
+    def test_help_is_exit_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['ceda', *command])}")
 
     def test_unwritable_out_is_exit_3(self, capsys, tmp_path, ex1_csv):
         code, _, err = run(
@@ -691,13 +720,13 @@ class TestSelectCommand:
 
     def test_each_mi_null_band_is_computed_once(self, capsys, ex4_csv, monkeypatch):
         calls = []
-        original = ceda.protocol.null_band
+        original = ceda.nullsim.null_band
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(ceda.protocol, "null_band", counting)
+        monkeypatch.setattr(ceda.nullsim, "null_band", counting)
         code, out, _ = run(
             capsys, "select", "--input", ex4_csv, "--response", "Y",
             "--covariates", "X1,X2,X3,X4", "--seed", "1", "--replicates", "50",
@@ -744,13 +773,13 @@ CELLS = {
 BAD_CELLS = ("nan", "inf", "-inf", "", "abc")
 # flag: (values in range or at a bound, values past a bound)
 FLAGS = {
-    "--replicates": (["2", "5", "20"], ["0", "1"]),
-    "--max-order": (["1", "2"], ["0", "3"]),
-    "--threads": (["1", "2"], ["0"]),
-    "--r-int": (["3", "0.5"], ["nan", "-1", "0", "inf"]),
-    "--cell-floor": (["0", "1"], ["-1", "nan"]),
-    "--seed": (["0", "1", "12345678901234567890"], ["-1", "-7"]),
-    "--n": (["1", "2", "30"], ["0", "-3"]),
+    "--replicates": (["2", "5", "20"], ["0", "1", "abc", "1.5"]),
+    "--max-order": (["1", "2"], ["0", "3", "abc", "1.5"]),
+    "--threads": (["1", "2"], ["0", "abc", "1.5"]),
+    "--r-int": (["3", "0.5"], ["nan", "-1", "0", "inf", "x"]),
+    "--cell-floor": (["0", "1"], ["-1", "nan", "x"]),
+    "--seed": (["0", "1", "12345678901234567890"], ["-1", "-7", "abc", "1.5"]),
+    "--n": (["1", "2", "30"], ["0", "-3", "abc", "1.5"]),
     "--y-ladder": (["1", "2", "1,3"], ["0", "two", "31"]),
     "--x-ladder": (["1", "2", "1,3"], ["0", "two", "31"]),
     "--noise": (["X2"], ["Z9", "Y"]),

@@ -13,6 +13,7 @@ from ceda.nullsim import (
     band_from_samples,
     c1_test,
     child_rng,
+    mi_verdict,
     mimic_ce_samples,
     mimic_table,
     null_band,
@@ -291,6 +292,17 @@ class TestC1Test:
         verdict = c1_test(mutual_information(t), band)
         assert verdict.status == "confirmed"
         assert verdict.excess_sd > 10
+
+    @pytest.mark.parametrize(
+        "counts", [[[30, 10], [10, 30]], [[5, 5], [5, 5]], [[7]], [[3, 0, 9], [0, 4, 1], [2, 2, 0]]]
+    )
+    def test_mi_verdict_is_the_composed_test(self, counts):
+        t = ContingencyTable(counts)
+        rng, oracle_rng = child_rng(4, 2), child_rng(4, 2)
+        verdict = mi_verdict(t, 300, rng)
+        band = null_band(t, "mutual_information", 300, oracle_rng)
+        assert verdict == c1_test(mutual_information(t), band)
+        assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
 
     def test_boundary_value_not_confirmed(self):
         band = band_from_samples("mutual_information", np.linspace(0.0, 1.0, 1000))

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ceda.categorize import product_categories
 from ceda.tabulate import (
@@ -15,6 +17,7 @@ from ceda.tabulate import (
     crosstab,
     entropy_report,
     mutual_information,
+    xlogx_table,
 )
 from conftest import binned, random_table_counts
 
@@ -137,6 +140,69 @@ class TestEntropies:
         object.__setattr__(t, "total", 0)
         with pytest.raises(ValueError):
             column_margin_entropy(t)
+
+
+def reference_xlogx(a):
+    """x*ln(x) elementwise with 0*ln(0) = 0, as computed before the lookup table; the oracle."""
+    a = np.asarray(a, dtype=float)
+    out = np.zeros_like(a)
+    pos = a > 0
+    out[pos] = a[pos] * np.log(a[pos])
+    return out
+
+
+def reference_counts_entropy(counts):
+    """Shannon entropy of ``counts`` from ``reference_xlogx``, kept as the oracle."""
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    return float(np.log(total) - reference_xlogx(counts).sum() / total)
+
+
+def reference_conditional_entropy(table):
+    """H[Y|A] from ``reference_xlogx`` over float counts, kept as the oracle."""
+    counts = table.counts.astype(float)
+    n = float(table.total)
+    row_sums = counts.sum(axis=1)
+    h = (reference_xlogx(row_sums).sum() - reference_xlogx(counts).sum()) / n
+    return float(max(h, 0.0))
+
+
+@st.composite
+def oracle_tables(draw):
+    """Count matrices with empty columns, single cells and counts up to 10**6.
+
+    Counts above 1 000 come only in tables of at most four cells, so a
+    lookup table (one float per record) stays within a few tens of MB.
+    """
+    high = draw(st.sampled_from([1, 60, 1_000, 10**6]))
+    most = 2 if high == 10**6 else 8
+    shape = (draw(st.integers(1, most)), draw(st.integers(1, most)))
+    counts = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, high)))
+    for c in draw(st.lists(st.integers(0, shape[1] - 1), max_size=shape[1])):
+        counts[:, c] = 0
+    counts[counts.sum(axis=1) == 0, draw(st.integers(0, shape[1] - 1))] = 1
+    return ContingencyTable(counts)
+
+
+class TestEntropyOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_tables())
+    @example(ContingencyTable([[1]]))
+    @example(ContingencyTable([[10**6]]))
+    @example(ContingencyTable([[0, 10**6, 0], [1, 0, 0]]))
+    @example(ContingencyTable([[10**6, 10**6], [10**6, 10**6]]))
+    def test_entropies_match_the_xlogx_oracles_bytes(self, table):
+        h_y = column_margin_entropy(table)
+        assert h_y.hex() == reference_counts_entropy(table.col_margin).hex()
+        h_cond = conditional_entropy(table)
+        assert h_cond.hex() == reference_conditional_entropy(table).hex()
+        assert type(h_y) is float and type(h_cond) is float
+
+    def test_table_is_xlogx_of_every_count(self):
+        table = xlogx_table(5_000)
+        assert table.tobytes() == reference_xlogx(np.arange(5_001)).tobytes()
 
 
 def entropy_of(counts):
