@@ -74,6 +74,10 @@ class RunConfig:
     def __post_init__(self):
         if self.out_format not in ("tsv", "json"):
             raise ConfigError(f"unknown output format {self.out_format!r}")
+        for role in ("response", "covariates"):
+            names = getattr(self, role)
+            if len(set(names)) < len(names):
+                raise ConfigError(f"{role} names a column more than once: {list(names)}")
         overlap = set(self.response) & set(self.covariates)
         if overlap:
             raise ConfigError(

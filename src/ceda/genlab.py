@@ -90,8 +90,9 @@ def theoretical_ex1(mean_gap: float = 1.0, grid_points: int = 400_001):
 
 
 def _two_halves(n: int):
+    """Sizes of the two balanced groups, and the label ``V1`` that is 0 then 1."""
     n1 = n // 2
-    return n1, n - n1
+    return n1, n - n1, (np.arange(n) >= n1).astype(np.int64)
 
 
 def sample(spec: GeneratorSpec) -> dict[str, np.ndarray]:
@@ -103,10 +104,9 @@ def sample(spec: GeneratorSpec) -> dict[str, np.ndarray]:
     if spec.example_id == "ex1":
         # Two populations N(0,1) and N(mean_gap,1), balanced halves.
         gap = p.get("mean_gap", 1.0)
-        n1, n2 = _two_halves(n)
+        n1, _, v1 = _two_halves(n)
         y = rng.standard_normal(n)
         y[n1:] += gap
-        v1 = np.concatenate([np.zeros(n1, dtype=np.int64), np.ones(n2, dtype=np.int64)])
         return {"Y": y, "V1": v1}
 
     if spec.example_id == "ex2":
@@ -114,14 +114,12 @@ def sample(spec: GeneratorSpec) -> dict[str, np.ndarray]:
         m = p.get("m", 2)
         rho0 = p.get("rho0", 0.5)
         rho1 = p.get("rho1", 0.7)
-        n1, n2 = _two_halves(n)
+        n1, n2, v1 = _two_halves(n)
         y0 = _mvn(rng, _compound_symmetric(m, rho0), n1)
         y1 = _mvn(rng, _compound_symmetric(m, rho1), n2)
         y = np.vstack([y0, y1])
         cols = {f"Y{i + 1}": y[:, i] for i in range(m)}
-        cols["V1"] = np.concatenate(
-            [np.zeros(n1, dtype=np.int64), np.ones(n2, dtype=np.int64)]
-        )
+        cols["V1"] = v1
         return cols
 
     if spec.example_id == "ex2star":
@@ -130,19 +128,13 @@ def sample(spec: GeneratorSpec) -> dict[str, np.ndarray]:
         # mixture's overall mean (zero) and covariance c*I + mu mu'.
         mu = np.asarray(p.get("mu", (0.5, 0.5)), dtype=float)
         comp_var = p.get("component_var", 2.0)
-        n1, n2 = _two_halves(n)
+        n1, n2, v1 = _two_halves(n)
         signs = np.where(rng.random(n1) < 0.5, 1.0, -1.0)
         y0 = math.sqrt(comp_var) * rng.standard_normal((n1, 2)) + signs[:, None] * mu
         cov1 = comp_var * np.eye(2) + np.outer(mu, mu)
         y1 = _mvn(rng, cov1, n2)
         y = np.vstack([y0, y1])
-        return {
-            "Y1": y[:, 0],
-            "Y2": y[:, 1],
-            "V1": np.concatenate(
-                [np.zeros(n1, dtype=np.int64), np.ones(n2, dtype=np.int64)]
-            ),
-        }
+        return {"Y1": y[:, 0], "Y2": y[:, 1], "V1": v1}
 
     if spec.example_id == "ex3_rho":
         rho = p.get("rho", 0.5)
@@ -158,22 +150,14 @@ def sample(spec: GeneratorSpec) -> dict[str, np.ndarray]:
         y = np.sin(2.0 * math.pi * cycles * x) + noise * rng.standard_normal(n)
         return {"Y": y, "X": x}
 
-    if spec.example_id == "ex4":
+    if spec.example_id in ("ex4", "ex5"):
+        # Y = X1 + sin(2pi(X2 + X3)) + noise; ex5 adds X4 inside the sine.
         noise = p.get("noise_scale", 0.1)
         x = rng.random((n, 4))
-        y = x[:, 0] + np.sin(2.0 * math.pi * (x[:, 1] + x[:, 2])) + noise * rng.standard_normal(n)
-        cols = {"Y": y}
-        cols.update({f"X{i + 1}": x[:, i] for i in range(4)})
-        return cols
-
-    if spec.example_id == "ex5":
-        noise = p.get("noise_scale", 0.1)
-        x = rng.random((n, 4))
-        y = (
-            x[:, 0]
-            + np.sin(2.0 * math.pi * (x[:, 1] + x[:, 2] + x[:, 3]))
-            + noise * rng.standard_normal(n)
-        )
+        phase = x[:, 1] + x[:, 2]
+        if spec.example_id == "ex5":
+            phase = phase + x[:, 3]
+        y = x[:, 0] + np.sin(2.0 * math.pi * phase) + noise * rng.standard_normal(n)
         cols = {"Y": y}
         cols.update({f"X{i + 1}": x[:, i] for i in range(4)})
         return cols

@@ -22,7 +22,7 @@ import math
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,8 +89,8 @@ class ProtocolConfig:
     the module constants ``ECO_LOW``/``ECO_HIGH``, ``COEXIST_MARGIN`` and
     ``CANDIDATE_MARGIN``, as are the synthetic replicate counts and the cell
     budget.  Construction raises ``ValueError`` for a value outside its
-    range, e.g. fewer than 2 replicates, a negative seed or a non-finite
-    ``r_int``.
+    range, e.g. fewer than 2 replicates, a negative seed, a non-finite
+    ``r_int`` or a repeated noise feature.
     """
 
     max_order: int = 2
@@ -109,37 +109,44 @@ class ProtocolConfig:
             raise ValueError(f"r_int must be finite and > 0, got {self.r_int}")
         if not self.cell_floor >= 0:
             raise ValueError(f"cell_floor must be >= 0, got {self.cell_floor}")
+        if len(set(self.noise_features)) < len(self.noise_features):
+            raise ValueError(
+                f"noise_features names a feature more than once: {list(self.noise_features)}"
+            )
 
 
 @dataclass(frozen=True)
 class SubsetLedgerEntry:
-    """One covariate subset's conditional-entropy bookkeeping."""
+    """One covariate subset's conditional-entropy bookkeeping; defaults leave it unevaluated."""
 
     subset: tuple
     order: int
-    ce: float
-    ce_drop: float
-    sce_drop: float
-    sce_star_drop: float | None
-    table_rows: int
     table_cols: int
-    avg_cell: float
-    reliable: bool
-    c1: C1Verdict | None
+    ce: float = math.nan
+    ce_drop: float = math.nan
+    sce_drop: float = math.nan
+    sce_star_drop: float | None = None
+    table_rows: int = 0
+    avg_cell: float = 0.0
+    reliable: bool = False
+    c1: C1Verdict | None = None
     synthetic_noise: bool = False
 
 
 @dataclass(frozen=True)
 class PairAnalysis:
-    """Dimension-matched comparison of a feature pair's joint vs. separate effects."""
+    """Dimension-matched comparison of a feature pair's joint vs. separate effects.
+
+    The defaults are the undetermined analysis of a pair too sparse to compare.
+    """
 
     pair: tuple
-    joint_drop: float
-    part_drops: dict
-    excess: float
-    ratio: float
-    classification: str
-    significant: bool
+    joint_drop: float = math.nan
+    part_drops: dict = field(default_factory=dict)
+    excess: float = math.nan
+    ratio: float = math.nan
+    classification: str = UNDETERMINED_DIMENSION
+    significant: bool = False
 
 
 @dataclass(frozen=True)
@@ -326,15 +333,7 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
     ref = evaluator.reference_band(k)
     table = evaluator.table(subset)
     if table.avg_cell_count < config.cell_floor:
-        return PairAnalysis(
-            pair=subset,
-            joint_drop=float("nan"),
-            part_drops={},
-            excess=float("nan"),
-            ratio=float("nan"),
-            classification=UNDETERMINED_DIMENSION,
-            significant=False,
-        )
+        return PairAnalysis(pair=subset)
     ce_joint = evaluator.ce(subset)
     joint_drop = ref.mean - ce_joint
     joint_sig = ce_joint < ref.q025 - CANDIDATE_MARGIN
@@ -373,48 +372,27 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
 
 
 def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntry:
-    config = evaluator.config
     k = len(subset)
-    cardinality_product = math.prod(evaluator.covariates[f].cardinality for f in subset)
-    est_cells = cardinality_product * evaluator.response.cardinality
-    if est_cells > CELL_BUDGET:
-        return SubsetLedgerEntry(
-            subset=subset,
-            order=k,
-            ce=float("nan"),
-            ce_drop=float("nan"),
-            sce_drop=float("nan"),
-            sce_star_drop=None,
-            table_rows=0,
-            table_cols=evaluator.response.cardinality,
-            avg_cell=0.0,
-            reliable=False,
-            c1=None,
-        )
+    cols = evaluator.response.cardinality
+    if math.prod(evaluator.covariates[f].cardinality for f in subset) * cols > CELL_BUDGET:
+        return SubsetLedgerEntry(subset, k, table_cols=cols)
     table = evaluator.table(subset)
     ce = evaluator.ce(subset)
-    ref = evaluator.reference_band(k)
-    ce_drop = ref.mean - ce
-    if k == 1:
-        sce = ce_drop
-    else:
-        best_proper = min(
-            evaluator.ce(sub)
-            for sub in itertools.combinations(subset, k - 1)
-        )
-        sce = best_proper - ce
-    reliable = table.avg_cell_count >= config.cell_floor
-    c1 = None
-    sce_star = None
-    synthetic = False
+    ce_drop = evaluator.reference_band(k).mean - ce
+    sce = ce_drop
+    if k >= 2:
+        # the best proper subset: the (k-1)-subset of lowest CE
+        rest = min(itertools.combinations(subset, k - 1), key=evaluator.ce)
+        sce = evaluator.ce(rest) - ce
+    reliable = table.avg_cell_count >= evaluator.config.cell_floor
+    c1, sce_star, synthetic = None, None, False
     if reliable:
         c1 = evaluator.mi_verdict(subset)
         if k >= 2:
-            # effect of the weakest member at the subset's own dimension
-            weakest = max(
-                subset, key=lambda f: evaluator.ce(tuple(x for x in subset if x != f))
-            )
-            sce_star, synthetic = sce_star_drop(evaluator, subset, weakest)
+            # effect of the member the best proper subset leaves out, at the
+            # subset's own dimension
+            (added,) = set(subset) - set(rest)
+            sce_star, synthetic = sce_star_drop(evaluator, subset, added)
     return SubsetLedgerEntry(
         subset=subset,
         order=k,

@@ -297,6 +297,46 @@ class TestExitCodes:
         assert err.startswith("config error: subset 'X1+X1'")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "command, roles, message",
+        [
+            ("select", ("--covariates", "X1,X1"), "covariates names a column more than once"),
+            ("measure", ("--covariates", "X1,X1"), "covariates names a column more than once"),
+            ("bins", ("--covariates", "X1,X1"), "covariates names a column more than once"),
+            ("measure", ("--response", "Y,Y"), "response names a column more than once"),
+            ("select", ("--noise", "X2,X2"), "noise_features names a feature more than once"),
+        ],
+    )
+    def test_column_named_twice_is_exit_3(self, capsys, ex4_csv, command, roles, message):
+        # the last of a repeated flag wins, so ``roles`` overrides the default roles
+        code, out, err = run(
+            capsys, command, "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            *roles, "--replicates", "20",
+        )
+        assert code == 3
+        assert err.startswith(f"config error: {message}")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"response": "Y", "covariates": ["X1", "X2", "X1"]},
+            {"response": ["Y", "Y"], "covariates": "X1"},
+            {"response": "Y", "covariates": "X1,X2", "noise_features": "X2,X2"},
+        ],
+    )
+    def test_config_file_naming_a_column_twice_is_exit_3(
+        self, capsys, tmp_path, ex4_csv, content
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(
+            capsys, "select", "--input", ex4_csv, "--config", str(path), "--replicates", "20",
+        )
+        assert code == 3
+        assert "more than once" in err and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_in_measure_is_exit_2(self, capsys, tmp_path, token):
         path = tmp_path / "d.csv"
@@ -782,7 +822,7 @@ FLAGS = {
     "--n": (["1", "2", "30"], ["0", "-3", "abc", "1.5"]),
     "--y-ladder": (["1", "2", "1,3"], ["0", "two", "31"]),
     "--x-ladder": (["1", "2", "1,3"], ["0", "two", "31"]),
-    "--noise": (["X2"], ["Z9", "Y"]),
+    "--noise": (["X2"], ["Z9", "Y", "X2,X2"]),
     "--subsets": (["X1", "X1+X2"], ["X1+X1", "Z9", ","]),
     "--categorize": (
         ["quantile:1", "quantile:3", "kmeans:1", "kmeans:3", "categorical"],
@@ -894,7 +934,9 @@ def cli_runs(draw):
         return text, ["simulate", "--example", example, "--n", value("--n"), *seed], files
     if command == "bins" and draw(st.booleans()):
         files["--replay"] = draw(replay_files())
-    roles = [("Y", "X1,X2")] * 3 + [("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y")]
+    roles = [("Y", "X1,X2")] * 3 + [
+        ("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y"), ("Y", "X1,X1"), ("Y,Y", "X1"),
+    ]
     if command == "grid":
         roles = [("Y", "X1")] * 3 + roles
     roles = draw(st.sampled_from(roles))

@@ -77,6 +77,7 @@ class TestProtocolConfig:
             ("r_int", 0.0),
             ("cell_floor", -1.0),
             ("cell_floor", float("nan")),
+            ("noise_features", ("X4", "X3", "X4")),
         ],
     )
     def test_out_of_range_value_rejected_at_construction(self, field, value):
@@ -162,6 +163,24 @@ class TestBuildLedger:
         pairs = [e for e in ledger if e.order == 2]
         assert pairs and all(not e.reliable for e in pairs)
         assert all(np.isnan(e.ce) for e in pairs)
+        for e in pairs:
+            assert e.table_cols == y.cardinality
+            assert np.isnan(e.ce_drop) and np.isnan(e.sce_drop)
+            assert e.sce_star_drop is None and e.c1 is None
+            assert (e.table_rows, e.avg_cell, e.synthetic_noise) == (0, 0.0, False)
+
+    def test_sce_star_drop_adds_the_member_the_best_proper_subset_leaves_out(
+        self, additive_sine_setup
+    ):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(max_order=2, seed=1, replicates=200))
+        rows = [e for e in build_ledger(ev) if e.order == 2 and e.reliable]
+        assert len(rows) == 6
+        for e in rows:
+            best = min(((f,) for f in e.subset), key=ev.ce)
+            (member,) = set(e.subset) - set(best)
+            assert (e.sce_star_drop, e.synthetic_noise) == sce_star_drop(ev, e.subset, member)
+            assert e.sce_drop == ev.ce(best) - e.ce
 
     def test_thread_count_does_not_change_results(self, additive_sine_setup):
         cov, y = additive_sine_setup
@@ -282,6 +301,10 @@ class TestClassifySubset:
         ev = SubsetEvaluator(cov, y, cfg)
         analysis = classify_subset(ev, ("X1", "X2"))
         assert analysis.classification == "undetermined (dimension)"
+        assert analysis.pair == ("X1", "X2") and analysis.part_drops == {}
+        assert np.isnan(analysis.joint_drop)
+        assert np.isnan(analysis.excess) and np.isnan(analysis.ratio)
+        assert analysis.significant is False
 
 
 class TestSelectMajorFactors:
