@@ -55,9 +55,11 @@ class DataError(Exception):
     """Invalid or unreadable input data; maps to exit code 2."""
 
 
-# The ProtocolConfig fields a flag or config file can set.  A field neither
-# gives keeps its default.
+# The ProtocolConfig fields a flag or config file can set (unset, they keep their
+# defaults), and every config key a flag overrides, by the flag's dest.  The
+# ``--categorize`` flag is not among them: it merges column by column.
 _PROTOCOL_FIELDS = ("max_order", "replicates", "seed", "threads", "r_int", "cell_floor")
+_SETTINGS = ("input", "response", "covariates", "noise_features", "format", *_PROTOCOL_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def _load_json_object(path: str, what: str) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, bad or too-deep JSON
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} must hold a JSON object")
@@ -218,43 +220,33 @@ def _check_config_file(cfg: dict) -> dict:
 
 
 def build_run_config(args) -> RunConfig:
-    file_cfg = (
+    """The config file's settings, each overridden by its flag where one is given."""
+    settings = (
         _check_config_file(_load_json_object(args.config, "config file")) if args.config else {}
     )
-
-    def pick(name, flag_value, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(name, default)
-
-    def names(name, flag_value):
-        """A column list, given as comma-separated text or as a JSON list."""
-        value = pick(name, flag_value, "")
-        if isinstance(value, str):
-            return tuple(c for c in value.split(",") if c)
-        return tuple(value)
-
-    categorize = {**file_cfg.get("categorize", {}), **_parse_categorize(args.categorize)}
-    given = {
-        name: pick(name, getattr(args, name))
-        for name in _PROTOCOL_FIELDS
-        if getattr(args, name) is not None or name in file_cfg
-    }
-    noise = names("noise_features", args.noise)
+    settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    settings["categorize"] = settings.get("categorize", {}) | _parse_categorize(args.categorize)
+    for role in ("response", "covariates", "noise_features"):  # text or a list of names
+        v = settings.get(role, "")
+        settings[role] = tuple([c for c in v.split(",") if c] if isinstance(v, str) else v)
     try:
-        protocol = ProtocolConfig(noise_features=noise, **given)
+        protocol = ProtocolConfig(
+            **{n: settings[n] for n in ("noise_features", *_PROTOCOL_FIELDS) if n in settings}
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     config = RunConfig(
-        input_path=pick("input", args.input),
-        response=names("response", args.response),
-        covariates=names("covariates", args.covariates),
-        categorize=categorize,
+        input_path=settings.get("input"),
+        response=settings["response"],
+        covariates=settings["covariates"],
+        categorize=settings["categorize"],
         protocol=protocol,
-        out_format=pick("format", args.format, "tsv"),
+        out_format=settings.get("format", "tsv"),
     )
-    if "max_order" in given and config.covariates:
+    if "max_order" in settings and config.covariates:
         _check_max_order(config)
+    if not config.input_path and args.command != "simulate":
+        raise ConfigError(f"{args.command} requires --input")
     return config
 
 
@@ -281,7 +273,7 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
@@ -432,16 +424,9 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _run_config(args) -> RunConfig:
-    config = build_run_config(args)
-    if not config.input_path:
-        raise ConfigError(f"{args.command} requires --input")
-    return config
-
-
 def _load(args) -> tuple[RunConfig, dict, CategoricalSeries]:
     """The run's config, covariate series and response series, read from ``--input``."""
-    config = _run_config(args)
+    config = build_run_config(args)
     return (config, *_build_series(ingest_csv(config.input_path, config), config))
 
 
@@ -467,7 +452,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bins(args) -> int:
-    config = _run_config(args)
+    config = build_run_config(args)
     if args.replay:
         # a file `bins` wrote heads its schemes with the provenance keys
         provenance = _provenance(config)
@@ -553,7 +538,7 @@ def cmd_null(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    config = _run_config(args)
+    config = build_run_config(args)
     if len(config.response) != 1 or len(config.covariates) != 1:
         raise ConfigError("grid needs exactly one response and one covariate column")
     _require_numeric(config, config.response + config.covariates)
@@ -649,7 +634,9 @@ def _add_common(p: argparse.ArgumentParser):
         "--categorize",
         help="per-column directives, e.g. Y=quantile:10,X1=kmeans:12,G=categorical",
     )
-    p.add_argument("--noise", help="comma-separated designated noise columns")
+    p.add_argument(
+        "--noise", dest="noise_features", help="comma-separated designated noise columns"
+    )
     p.add_argument("--max-order", dest="max_order", type=int)
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)

@@ -46,7 +46,6 @@ __all__ = [
     "child_rng",
     "mi_verdict",
     "mimic_ce_samples",
-    "mimic_table",
     "null_band",
 ]
 
@@ -116,23 +115,6 @@ def band_from_samples(name: str, samples: np.ndarray) -> NullBand:
         q025=float(q025),
         q975=float(q975),
     )
-
-
-def mimic_table(table: ContingencyTable, rng: np.random.Generator) -> np.ndarray:
-    """One mimic's R x C count matrix: per response column, a multinomial split over the rows.
-
-    Column sums are preserved exactly; row sums only in expectation.  Row r
-    is the table's row r, so a row may come out empty; a ``ContingencyTable``
-    of the mimic keeps only the occupied rows.  This is the reference the
-    vectorized sampler (``mimic_ce_samples``) is checked against.
-    """
-    if table.total <= 0:
-        raise ValueError("table total must be positive")
-    probs = table.row_margin / table.total
-    counts = np.empty_like(table.counts)
-    for c in range(table.cols):
-        counts[:, c] = rng.multinomial(int(table.col_margin[c]), probs)
-    return counts
 
 
 def mimic_ce_samples(

@@ -180,7 +180,7 @@ class _OnceCache:
     A thread that finds an entry being computed waits for it instead of
     computing it again.  Each key has its own lock, so different keys are
     computed concurrently; an entry only ever waits on entries of a kind
-    further down the order noise/verdict -> table -> fused, so the locks
+    further down the order noise/verdict -> ce -> table -> fused, so the locks
     cannot deadlock.  A computation that raises leaves its entry
     empty.
     """
@@ -205,9 +205,9 @@ class _OnceCache:
 class SubsetEvaluator:
     """One run's categorized data, its config, and everything derived from them.
 
-    Fused series, tables, C1 verdicts and noise levels depend only on the
-    data, the config and keyed seeds, so each is computed once and memoised
-    under ``(kind, key)``.  Safe to share between threads.
+    Fused series, tables, conditional entropies, C1 verdicts and noise levels
+    depend only on the data, the config and keyed seeds, so each is computed
+    once and memoised under ``(kind, key)``.  Safe to share between threads.
     """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
@@ -230,7 +230,7 @@ class SubsetEvaluator:
         )
 
     def ce(self, subset: tuple) -> float:
-        return conditional_entropy(self.table(subset))
+        return self._memo.get(("ce", subset), lambda: conditional_entropy(self.table(subset)))
 
     def mi_verdict(self, subset: tuple) -> C1Verdict:
         """[C1] verdict on I[Y; subset] against its mimic null band."""

@@ -1,6 +1,7 @@
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import ceda.protocol
@@ -23,6 +24,21 @@ def two_normal_data():
 def interaction_data():
     """Additive X1 plus sin(2*pi*(X2+X3)) with X4 pure noise, N=10^4."""
     return sample(GeneratorSpec("ex4", 10_000, seed=1))
+
+
+def reference_mimic_table(table, rng):
+    """One mimic's R x C count matrix: per response column, a multinomial split over the rows.
+
+    Column sums are preserved exactly; row sums only in expectation.  Row r
+    is the table's row r, so a row may come out empty; a ``ContingencyTable``
+    of the mimic keeps only the occupied rows.  The vectorized sampler
+    (``nullsim.mimic_ce_samples``) is checked against this oracle.
+    """
+    probs = table.row_margin / table.total
+    counts = np.empty_like(table.counts)
+    for c in range(table.cols):
+        counts[:, c] = rng.multinomial(int(table.col_margin[c]), probs)
+    return counts
 
 
 def random_table_counts(rng, max_rows=8, max_cols=8, max_count=60):

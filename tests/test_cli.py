@@ -1,14 +1,17 @@
 """Command-line workflows: ingestion, reports, exit codes, provenance."""
 
 import contextlib
+import csv
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ceda.nullsim
+import ceda.protocol
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
@@ -176,6 +179,32 @@ class TestExitCodes:
         bad.write_text("{not json")
         code, _, _ = run(capsys, "measure", "--input", ex1_csv, "--config", str(bad))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flag, content, code, prefix",
+        [
+            ("--input", b"Y,X1\n1,\xff\xfe\n2,3\n", 2, "data error: cannot read"),
+            ("--input", b"Y,X1\n1," + b"7" * 200_000 + b"\n2,3\n", 2, "data error: cannot read"),
+            ("--config", b'{"seed": "\xff"}', 3, "config error: config file"),
+            ("--replay", b'{"X1": "\xff"}', 3, "config error: replay file"),
+            ("--config", b"[" * 100_000 + b"]" * 100_000, 3, "config error: config file"),
+        ],
+        ids=["csv-bad-utf8", "csv-field-too-large", "config-bad-utf8", "replay-bad-utf8",
+             "config-nested-too-deep"],
+    )
+    def test_undecodable_or_unparseable_file_is_one_error_line(
+        self, capsys, tmp_path, ex4_csv, flag, content, code, prefix
+    ):
+        path = tmp_path / "raw"
+        path.write_bytes(content)
+        # the last of a repeated flag wins, so a raw ``--input`` replaces ex4's
+        code_seen, out, err = run(
+            capsys, "bins", "--input", ex4_csv, "--response", "Y", "--covariates", "X1",
+            flag, str(path),
+        )
+        assert code_seen == code
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert out == ""
 
     @pytest.mark.parametrize(
         "content", ['{"r_int": "abc"}', '{"max_order": [1]}', '{"categorize": 5}']
@@ -779,6 +808,26 @@ class TestSelectCommand:
         assert {row[0] for row in reliable} == {"1", "2"}
         assert len(calls) == len(reliable)
 
+    def test_each_conditional_entropy_is_computed_once(self, capsys, ex4_csv, monkeypatch):
+        calls = Counter()
+        original = ceda.protocol.conditional_entropy
+
+        def counting(table):
+            calls[id(table)] += 1  # the evaluator keeps each table, so ids stay distinct
+            return original(table)
+
+        monkeypatch.setattr(ceda.protocol, "conditional_entropy", counting)
+        code, _, _ = run(
+            capsys, "select", "--input", ex4_csv, "--response", "Y",
+            "--covariates", "X1,X2,X3,X4", "--noise", "X3,X4", "--seed", "1",
+            "--replicates", "20", "--threads", "2",
+        )
+        assert code == 0
+        # the ledger's ten subsets, read again by noise levels and selection, and
+        # X4's padding by X3, which keeps its own (X4, X3) order
+        assert len(calls) == 11
+        assert set(calls.values()) == {1}
+
 
 @pytest.mark.parametrize(
     "command",
@@ -811,6 +860,12 @@ CELLS = {
     "labels": lambda i: "ab"[i % 2],
 }
 BAD_CELLS = ("nan", "inf", "-inf", "", "abc")
+# cells that leave the CSV undecodable or unparseable: a byte that is not UTF-8
+# (a lone surrogate, written as 0xff through "surrogateescape") and a field one
+# character past the csv module's size limit
+RAW_CELLS = ("\udcff", "7" * (csv.field_size_limit() + 1))
+# JSON nested this deep is past any recursion limit of the decoder
+DEEP = 100_000
 # flag: (values in range or at a bound, values past a bound)
 FLAGS = {
     "--replicates": (["2", "5", "20"], ["0", "1", "abc", "1.5"]),
@@ -863,7 +918,9 @@ DIRECTIVES = [
 
 @st.composite
 def config_files(draw):
-    """A JSON config file whose keys hold well-formed or awkward values."""
+    """A JSON config file whose keys hold well-formed or awkward values, or deep nesting."""
+    if draw(st.integers(0, 19)) == 19:
+        return "[" * DEEP + "]" * DEEP
     cfg = {}
     for key, good in CONFIG_VALUES.items():
         if draw(st.integers(0, 3)) == 3:
@@ -920,7 +977,7 @@ def cli_runs(draw):
         kind = draw(st.sampled_from(["spread"] * 4 + ["few", "constant", "labels"]))
         cells = [CELLS[kind](i) for i in range(n)]
         if draw(st.integers(0, 9)) == 9:
-            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_CELLS))
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BAD_CELLS + RAW_CELLS))
         columns.append(cells)
     text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
 
@@ -959,7 +1016,7 @@ def test_exit_code_contract(tmp_path_factory, run_case):
     """Every input ends in exit 0 with a parseable report, 2 or 3; never in a traceback."""
     text, argv, files = run_case
     folder = tmp_path_factory.mktemp("fuzz")
-    (folder / "d.csv").write_text(text)
+    (folder / "d.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
     paths = ["--input", str(folder / "d.csv")]
     for flag, content in files.items():
         (folder / f"{flag[2:]}.json").write_text(content)
