@@ -16,6 +16,7 @@ Data goes to stdout or ``--out``; progress lines go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import array
 import csv
 import hashlib
 import json
@@ -259,11 +260,15 @@ def _check_max_order(config: RunConfig):
 
 
 def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
-    """Read a UTF-8 header CSV into named columns with role-aware parsing.
+    """Read a UTF-8 header CSV into named columns with role-aware parsing, row by row.
 
-    Columns categorized as "categorical" keep their string labels; all other
-    requested columns must parse as finite decimals.  Errors name the offending
-    data row (1-based, excluding the header) and column.
+    Only the named columns are kept (every column when none is named).
+    Columns categorized as "categorical" keep their string labels, as an
+    object array; all other requested columns must parse as finite decimals
+    and are stored as float64 while reading.  Errors name the offending data
+    row (1-based, excluding the header) and column.  The whole file is read
+    before a header or row fault is raised, so a fault reading the file
+    anywhere comes first.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -272,30 +277,38 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            rows = list(reader)
+            try:
+                return _read_columns(path, header, reader, config)
+            except DataError:
+                for _ in reader:  # a read fault further on outranks this one
+                    pass
+                raise
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_columns(path: str, header: list, reader, config: RunConfig) -> dict[str, np.ndarray]:
+    """The wanted columns of ``reader``'s rows; the first header or row fault is a DataError."""
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
-    wanted = list(config.response) + list(config.covariates)
-    if not wanted:
-        wanted = header
+    wanted = list(config.response) + list(config.covariates) or header
     missing = [c for c in wanted if c not in header]
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
-    index = {c: header.index(c) for c in wanted}
+    columns = {
+        c: [] if config.directive(c)[0] == "categorical" else array.array("d") for c in wanted
+    }
+    fields = [(c, header.index(c), columns[c], type(columns[c]) is list) for c in wanted]
+    labels: dict[str, str] = {}  # one string object per distinct categorical label
     n_fields = len(header)
-    columns: dict[str, list] = {c: [] for c in wanted}
-    categorical = {c for c in wanted if config.directive(c)[0] == "categorical"}
-    for i, row in enumerate(rows, start=1):
+    i = 0
+    for i, row in enumerate(reader, start=1):
         if len(row) != n_fields:
-            raise DataError(
-                f"{path}: row {i} has {len(row)} fields, expected {n_fields}"
-            )
-        for c in wanted:
-            token = row[index[c]]
-            if c in categorical:
-                columns[c].append(token)
+            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {n_fields}")
+        for c, j, column, categorical in fields:
+            token = row[j]
+            if categorical:
+                column.append(labels.setdefault(token, token))
                 continue
             try:
                 value = float(token)
@@ -305,11 +318,11 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
                 raise DataError(
                     f"{path}: row {i}, column {c!r}: cannot parse {token!r} as a finite number"
                 )
-            columns[c].append(value)
-    if not rows:
+            column.append(value)
+    if not i:
         raise DataError(f"{path}: no data rows")
     return {
-        c: (np.asarray(v) if c in categorical else np.asarray(v, dtype=float))
+        c: np.array(v, dtype=object) if type(v) is list else np.frombuffer(v)
         for c, v in columns.items()
     }
 
@@ -332,8 +345,10 @@ def _quantile_scheme(name: str, values: np.ndarray, k: int) -> BinningScheme:
 def _categorize_column(name: str, values: np.ndarray, config: RunConfig) -> CategoricalSeries:
     method, k = config.directive(name)
     if method == "categorical":
-        uniq, inverse = np.unique(values, return_inverse=True)
-        return CategoricalSeries(labels=inverse.ravel(), cardinality=uniq.size)
+        # codes in string order, as np.unique sorts labels
+        codes = {label: code for code, label in enumerate(sorted(set(values)))}
+        labels = np.fromiter(map(codes.__getitem__, values), dtype=np.int64, count=len(values))
+        return CategoricalSeries(labels=labels, cardinality=len(codes))
     if method == "kmeans":
         return _kmeans_series(name, values, k, config)
     return apply_bins(values, _quantile_scheme(name, values, k))

@@ -180,9 +180,8 @@ class _OnceCache:
     A thread that finds an entry being computed waits for it instead of
     computing it again.  Each key has its own lock, so different keys are
     computed concurrently; an entry only ever waits on entries of a kind
-    further down the order noise/verdict -> ce -> table -> fused, so the locks
-    cannot deadlock.  A computation that raises leaves its entry
-    empty.
+    further down the order noise/verdict -> ce -> table, so the locks cannot
+    deadlock.  A computation that raises leaves its entry empty.
     """
 
     _EMPTY = object()
@@ -205,9 +204,11 @@ class _OnceCache:
 class SubsetEvaluator:
     """One run's categorized data, its config, and everything derived from them.
 
-    Fused series, tables, conditional entropies, C1 verdicts and noise levels
-    depend only on the data, the config and keyed seeds, so each is computed
-    once and memoised under ``(kind, key)``.  Safe to share between threads.
+    Tables, conditional entropies, C1 verdicts and noise levels depend only
+    on the data, the config and keyed seeds, so each is computed once and
+    memoised under ``(kind, key)``.  A subset's fused labels are not kept:
+    they are built for its table and counted away.  Safe to share between
+    threads.
     """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
@@ -217,17 +218,13 @@ class SubsetEvaluator:
         self.n = len(response)
         self._memo = _OnceCache()
 
-    def fused(self, subset: tuple) -> CategoricalSeries:
+    def table(self, subset: tuple):
         def compute():
             series = [self.covariates[f] for f in subset]
-            return series[0] if len(series) == 1 else product_categories(series)
+            fused = series[0] if len(series) == 1 else product_categories(series)
+            return crosstab(fused, self.response)
 
-        return self._memo.get(("fused", subset), compute)
-
-    def table(self, subset: tuple):
-        return self._memo.get(
-            ("table", subset), lambda: crosstab(self.fused(subset), self.response)
-        )
+        return self._memo.get(("table", subset), compute)
 
     def ce(self, subset: tuple) -> float:
         return self._memo.get(("ce", subset), lambda: conditional_entropy(self.table(subset)))
@@ -288,10 +285,11 @@ class SubsetEvaluator:
             if synthetic:
                 if subset:
                     rng = child_rng(cfg.seed, 91, order, _subset_tag(subset))
-                    replicates, base = PAD_REPLICATES, (self.fused(subset),)
+                    replicates = PAD_REPLICATES
                 else:
                     rng = child_rng(cfg.seed, 90, order)
-                    replicates, base = REF_REPLICATES, ()
+                    replicates = REF_REPLICATES
+                base = tuple(self.covariates[f] for f in subset)
                 drawn = synthetic_ce_samples(
                     base, self.response, pad, self._bins_for_noise(), replicates, rng
                 )

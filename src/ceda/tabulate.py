@@ -11,6 +11,7 @@ or smoothing is applied anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -32,10 +33,18 @@ __all__ = [
 MI_CLAMP = 1e-12
 
 
+@functools.lru_cache(maxsize=1)
 def xlogx_table(total: int) -> np.ndarray:
-    """k*ln(k) for every count k in 0..total, entry 0 being 0.0: one float per record."""
-    k = np.arange(1, total + 1, dtype=float)
-    return np.concatenate(([0.0], k * np.log(k)))
+    """k*ln(k) for every count k in 0..total, entry 0 being 0.0: one float per record.
+
+    Every table of a run has the same total, so the last total's table is
+    kept and shared; it is read-only.  It is built in place, two arrays of
+    the total's length at peak.
+    """
+    out = np.arange(total + 1, dtype=float)
+    out[1:] *= np.log(out[1:])
+    out.flags.writeable = False
+    return out
 
 
 def counts_ce(counts: np.ndarray, xlogx: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -69,3 +70,15 @@ def count_fusion_calls(monkeypatch) -> Counter:
     ):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the call's result and the most memory, in bytes,
+    that ``tracemalloc`` saw allocated at once during it."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_b
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import ProtocolConfig
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
-from conftest import count_fusion_calls
+from conftest import count_fusion_calls, traced_peak
 
 
 def run(capsys, *argv):
@@ -43,7 +44,182 @@ def ex1_csv(tmp_path_factory):
     return str(path)
 
 
+def reference_ingest_csv(path: str, config: RunConfig) -> dict:
+    """``ingest_csv`` as it was when it read every row before parsing any; the oracle.
+
+    Categorical columns come back as a fixed-width ``<U`` array, which drops
+    trailing NULs from each label.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
+    wanted = list(config.response) + list(config.covariates)
+    if not wanted:
+        wanted = header
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    index = {c: header.index(c) for c in wanted}
+    n_fields = len(header)
+    columns: dict[str, list] = {c: [] for c in wanted}
+    categorical = {c for c in wanted if config.directive(c)[0] == "categorical"}
+    for i, row in enumerate(rows, start=1):
+        if len(row) != n_fields:
+            raise DataError(
+                f"{path}: row {i} has {len(row)} fields, expected {n_fields}"
+            )
+        for c in wanted:
+            token = row[index[c]]
+            if c in categorical:
+                columns[c].append(token)
+                continue
+            try:
+                value = float(token)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: row {i}, column {c!r}: cannot parse {token!r} as a finite number"
+                )
+            columns[c].append(value)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return {
+        c: (np.asarray(v) if c in categorical else np.asarray(v, dtype=float))
+        for c, v in columns.items()
+    }
+
+
+def ingest_outcome(ingest, path, config):
+    """``ingest``'s columns, or its DataError's message."""
+    try:
+        return ingest(path, config)
+    except DataError as exc:
+        return str(exc)
+
+
+NAMES = ["Y", "X1", "X2", "G"]
+CSV_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "", "abc", " 1.5 ", "1_0", "0x1", "1e999", "\udcff"]),
+    st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def ingest_cases(draw):
+    """A CSV (as bytes) and the run config it is read under.
+
+    Columns may be unwanted, categorical or missing, the header may repeat a
+    name, and rows may be short, long, or hold bad tokens and undecodable bytes.
+    """
+    if draw(st.integers(0, 19)) == 0:
+        return b"", RunConfig()
+    header = draw(st.permutations(NAMES + ["U"]))[: draw(st.integers(1, 5))]
+    if draw(st.integers(0, 9)) == 0:
+        header.append(draw(st.sampled_from(header)))
+    wanted = draw(st.lists(st.sampled_from(header), unique=True, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        wanted.append("Z")
+    categorical = [c for c in NAMES + ["U"] if draw(st.booleans())]
+    config = RunConfig(
+        response=tuple(wanted[:1]),
+        covariates=tuple(wanted[1:]),
+        categorize={c: ("categorical", 0) for c in categorical},
+    )
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = [
+            draw(CSV_TOKENS) if draw(st.integers(0, 4)) == 0 else f"{draw(st.floats(-9, 9)):.3f}"
+            for _ in header
+        ]
+        if draw(st.integers(0, 14)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        rows.append(row)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    return text.getvalue().encode("utf-8", "surrogateescape"), config
+
+
 class TestIngestCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(ingest_cases())
+    def test_matches_the_reference_reader(self, tmp_path_factory, case):
+        data, config = case
+        path = tmp_path_factory.mktemp("ingest") / "d.csv"
+        path.write_bytes(data)
+        got = ingest_outcome(ingest_csv, str(path), config)
+        want = ingest_outcome(reference_ingest_csv, str(path), config)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert list(got) == list(want)
+        for c, values in want.items():
+            if values.dtype.kind == "U":
+                assert got[c].dtype == object
+                assert got[c].tolist() == values.tolist()
+            else:
+                assert got[c].dtype == np.float64
+                assert got[c].tobytes() == values.tobytes()
+
+    def test_read_fault_past_the_first_chunk_outranks_a_bad_number(self, tmp_path):
+        path = tmp_path / "late.csv"
+        rows = "".join(f"{i},{i % 3}\n" for i in range(20_000))  # about 150 KB
+        path.write_bytes(b"Y,X\noops,1\n" + rows.encode() + b"\xff,1\n")
+        cfg = RunConfig(response=("Y",), covariates=("X",))
+        with pytest.raises(DataError, match="^cannot read") as caught:
+            ingest_csv(str(path), cfg)
+        assert str(caught.value) == ingest_outcome(reference_ingest_csv, str(path), cfg)
+
+    def test_reads_only_the_named_columns_as_float64(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"C{j}" for j in range(12)) + "\n")
+            for i in range(20_000):
+                fh.write(",".join(f"{(i * 7919 + j) % 1000 / 7:.6f}" for j in range(12)) + "\n")
+        cfg = RunConfig(response=("C3",), covariates=("C8",))
+        data, peak = traced_peak(ingest_csv, str(path), cfg)
+        assert list(data) == ["C3", "C8"]
+        assert all(v.dtype == np.float64 and v.size == 20_000 for v in data.values())
+        # two 160 KB columns; every field of every row as text would take about 17 MB
+        assert peak < 2_000_000
+
+    def test_categorical_labels_keep_trailing_nuls(self, capsys, tmp_path):
+        path = tmp_path / "nul.csv"
+        path.write_text("Y,G\n1,a\n2,a\x00\n1,b\n2,a\n1,a\x00\n2,b\n")
+        cfg = RunConfig(response=("Y",), covariates=("G",), categorize={"G": ("categorical", 0)})
+        assert ingest_csv(str(path), cfg)["G"].tolist() == ["a", "a\x00", "b", "a", "a\x00", "b"]
+        code, out, _ = run(
+            capsys, "measure", "--input", str(path), "--response", "Y", "--covariates", "G",
+            "--categorize", "Y=categorical,G=categorical", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["reports"][0]["rows"] == 3  # "a" and "a\x00" stay apart
+
+    def test_a_long_categorical_label_is_held_once(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        labels = ["x" * 100_000] + ["ab"[i % 2] for i in range(1, 500)]
+        path.write_text("Y,G\n" + "".join(f"{i / 10},{g}\n" for i, g in enumerate(labels)))
+        argv = [
+            "measure", "--input", str(path), "--response", "Y", "--covariates", "G",
+            "--categorize", "G=categorical", "--format", "json",
+        ]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["rows"] == 3
+        # a fixed-width array of the 500 labels would take 500 x 400 KB
+        assert peak < 5_000_000
+
     def test_toy_round_trip(self, toy_csv):
         cfg = RunConfig(response=("Y",), covariates=("V1",))
         data = ingest_csv(toy_csv, cfg)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ceda.categorize import product_categories
+from ceda.nullsim import child_rng, mimic_ce_samples
 from ceda.tabulate import (
     CategoricalSeries,
     ContingencyTable,
@@ -19,7 +20,7 @@ from ceda.tabulate import (
     mutual_information,
     xlogx_table,
 )
-from conftest import binned, random_table_counts
+from conftest import binned, random_table_counts, traced_peak
 
 LN2 = math.log(2.0)
 
@@ -203,6 +204,22 @@ class TestEntropyOracles:
     def test_table_is_xlogx_of_every_count(self):
         table = xlogx_table(5_000)
         assert table.tobytes() == reference_xlogx(np.arange(5_001)).tobytes()
+
+    def test_one_read_only_table_per_total(self):
+        table = ContingencyTable([[3, 1, 0], [2, 5, 4]])
+        xlogx_table.cache_clear()
+        entropy_report(table)
+        mimic_ce_samples(table, 20, child_rng(1))
+        assert xlogx_table.cache_info().misses == 1
+        shared = xlogx_table(table.total)
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[1] = 0.0
+
+    def test_table_is_built_in_two_arrays_at_peak(self):
+        xlogx_table.cache_clear()
+        table, peak = traced_peak(xlogx_table, 10**6)
+        assert peak < 2.5 * table.nbytes
 
 
 def entropy_of(counts):
