@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# The quantiles that bound the K interior bins of every 1+K+1 binning, real or
+# synthetic; the two tail bins take the values outside them.
+TAIL_QUANTILES = (0.05, 0.95)
+
+
 def _check_scheme_params(k_interior, low_q, high_q):
     """Raise ``ValueError`` unless k_interior is an integer >= 1 and 0 < low_q < high_q < 1."""
     if isinstance(k_interior, bool) or not isinstance(k_interior, numbers.Integral):
@@ -125,22 +130,18 @@ def linear_quantile(values, q) -> np.ndarray:
     return np.where(gamma >= 0.5, b - d * (1 - gamma), a + d * gamma)
 
 
-def quantile_bins(
-    values,
-    k_interior: int,
-    low_q: float = 0.05,
-    high_q: float = 0.95,
-) -> BinningScheme:
-    """Equal-width interior bins over the observed [low_q, high_q] quantile range.
+def quantile_bins(values, k_interior: int) -> BinningScheme:
+    """Equal-width interior bins over the observed ``TAIL_QUANTILES`` range.
 
     Quantiles use linear interpolation between order statistics, taken from
     a sort with ``linear_quantile`` (numpy's "linear" rule, bit for bit).
     """
     values = np.asarray(values, dtype=float)
+    low_q, high_q = TAIL_QUANTILES
     _check_scheme_params(k_interior, low_q, high_q)
     if values.size < k_interior + 2:
         raise ValueError("too few values for the requested bin count")
-    lo, hi = linear_quantile(values, [low_q, high_q])
+    lo, hi = linear_quantile(values, TAIL_QUANTILES)
     if not hi > lo:
         raise ValueError("degenerate feature: quantile range has zero width")
     edges = np.linspace(lo, hi, k_interior + 1)

@@ -26,15 +26,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
-from ceda.categorize import (
-    BinningScheme,
-    apply_bins,
-    fuse_features,
-    product_categories,
-    quantile_bins,
+from ceda.tabulate import (
+    CategoricalSeries,
+    crosstab,  # noqa: F401  (unused; bench/test_bench.py expects the tracer to wrap it here)
+    entropy_report,
 )
-from ceda.nullsim import child_rng, mi_verdict
+from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import (
     ProtocolConfig,
@@ -327,11 +324,11 @@ def _read_columns(path: str, header: list, reader, config: RunConfig) -> dict[st
     }
 
 
-def _require_numeric(config: RunConfig, columns):
-    """K-means clusters numbers: a column declared categorical is a ConfigError."""
+def _require_numeric(config: RunConfig, columns, use: str = "K-means cannot cluster"):
+    """``use`` needs numbers: a column declared categorical is a ConfigError."""
     for c in columns:
         if config.directive(c)[0] == "categorical":
-            raise ConfigError(f"column {c!r}: K-means cannot cluster a categorical column")
+            raise ConfigError(f"column {c!r}: {use} a categorical column")
 
 
 def _quantile_scheme(name: str, values: np.ndarray, k: int) -> BinningScheme:
@@ -439,19 +436,11 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _load(args) -> tuple[RunConfig, dict, CategoricalSeries]:
-    """The run's config, covariate series and response series, read from ``--input``."""
+def _load(args) -> tuple[RunConfig, SubsetEvaluator]:
+    """The run's config and the evaluator of its series, read from ``--input``."""
     config = build_run_config(args)
-    return (config, *_build_series(ingest_csv(config.input_path, config), config))
-
-
-def _subset_tables(args) -> tuple[RunConfig, list]:
-    """The run's config and a (subset, table) pair per ``--subsets`` entry."""
-    config, covs, response = _load(args)
-    subsets = _parse_subsets(args.subsets, config)
-    return config, [
-        (s, crosstab(product_categories([covs[c] for c in s]), response)) for s in subsets
-    ]
+    covs, response = _build_series(ingest_csv(config.input_path, config), config)
+    return config, SubsetEvaluator(covs, response, config.protocol)
 
 
 def cmd_simulate(args) -> int:
@@ -478,6 +467,7 @@ def cmd_bins(args) -> int:
         }
         if not schemes:
             raise ConfigError(f"replay file {args.replay} holds no schemes")
+        _require_numeric(config, schemes, f"replay file {args.replay} cannot bin")
         # read exactly the scheme's columns: a column the CSV lacks is a data error
         data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(schemes)))
         labeled = {}
@@ -504,15 +494,16 @@ def cmd_bins(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    config, tables = _subset_tables(args)
-    reports = [(s, entropy_report(t), t.total) for s, t in tables]
+    config, evaluator = _load(args)
+    subsets = _parse_subsets(args.subsets, config)
+    reports = [(s, entropy_report(evaluator.table(s))) for s in subsets]
     fields = {
         "reports": [
-            {"subset": list(s), **json.loads(r.to_json(total=n))} for s, r, n in reports
+            {"subset": list(s), **json.loads(r.to_json(total=evaluator.n))} for s, r in reports
         ]
     }
     lines = ["subset\trows\tcols\th_y\th_y_given_a\tmi"]
-    for s, r, _ in reports:
+    for s, r in reports:
         lines.append(
             f"{'+'.join(s)}\t{r.rows}\t{r.cols}\t{r.h_y:.6f}\t"
             f"{r.h_y_given_a:.6f}\t{r.mutual_info:.6f}"
@@ -522,11 +513,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_null(args) -> int:
-    config, tables = _subset_tables(args)
-    protocol = config.protocol
+    config, evaluator = _load(args)
     rows = []
-    for j, (subset, table) in enumerate(tables):
-        verdict = mi_verdict(table, protocol.replicates, child_rng(protocol.seed, 10, j))
+    for subset in _parse_subsets(args.subsets, config):
+        verdict = evaluator.mi_verdict(subset)
         rows.append((subset, verdict))
         _log(f"null {'+'.join(subset)}: {verdict.status}")
     fields = {
@@ -535,7 +525,7 @@ def cmd_null(args) -> int:
                 "subset": list(s),
                 "observed": v.observed,
                 "status": v.status,
-                "excess_sd": v.excess_sd,
+                "excess_sd": None if not np.isfinite(v.excess_sd) else v.excess_sd,
                 "band": v.band.to_json_dict(),
             }
             for s, v in rows
@@ -599,16 +589,15 @@ def cmd_grid(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config, covs, response = _load(args)
+    config, evaluator = _load(args)
     _check_max_order(config)
     # only select reads --noise, so a config file shared with measure may name any
     unknown = [c for c in config.protocol.noise_features if c not in config.covariates]
     if unknown:
         raise ConfigError(f"noise features must be covariates, got {unknown}")
-    if len(response) < 3:  # synthetic noise features are binned 1+K+1, which takes 3 values
-        raise DataError(f"select needs at least 3 rows, got {len(response)}")
-    _log(f"select: {len(covs)} covariates, max order {config.protocol.max_order}")
-    evaluator = SubsetEvaluator(covs, response, config.protocol)
+    if evaluator.n < 3:  # synthetic noise features are binned 1+K+1, which takes 3 values
+        raise DataError(f"select needs at least 3 rows, got {evaluator.n}")
+    _log(f"select: {len(evaluator.covariates)} covariates, max order {config.protocol.max_order}")
     ledger = build_ledger(evaluator)
     report = select_major_factors(evaluator)
     ledger_tsv = ledger_to_tsv(ledger)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ceda.categorize import linear_quantile
+from ceda.categorize import TAIL_QUANTILES, linear_quantile
 from ceda.tabulate import (
     CategoricalSeries,
     ContingencyTable,
@@ -224,7 +224,7 @@ def synthetic_noise_series(
     one ``rng.random((count, n))``, which takes the same values from the
     stream as ``count`` successive ``rng.random(n)`` calls.  Each row gets
     its own ``quantile_bins`` scheme with K = ``max(n_bins - 2, 1)``: the
-    row's 5% and 95% quantiles, from its sorted order statistics with
+    row's ``TAIL_QUANTILES``, from its sorted order statistics with
     numpy's "linear" rule (``linear_quantile``), cut into K equal-width bins.
     A label is the number of the row's edges strictly below the value, as in
     ``apply_bins``, counted one edge at a time.  Rows are therefore labelled
@@ -234,7 +234,7 @@ def synthetic_noise_series(
     if n < k + 2:
         raise ValueError("too few values for the requested bin count")
     values = rng.random((count, n))
-    lo, hi = linear_quantile(values, [0.05, 0.95])
+    lo, hi = linear_quantile(values, TAIL_QUANTILES)
     edges = np.linspace(lo, hi, k + 1, axis=1)
     if not (np.diff(edges, axis=1) > 0).all():
         raise ValueError("degenerate feature: quantile range has zero width")

@@ -276,9 +276,9 @@ class SubsetEvaluator:
             noise = [
                 f for f in cfg.noise_features if f in self.covariates and f not in subset
             ]
-            # the reference's samples are the ledger's own (sorted) subsets
+            # each sample is a ledger subset, keyed as the ledger keys it (sorted)
             samples = [
-                self.ce(subset + combo if subset else tuple(sorted(combo)))
+                self.ce(tuple(sorted(subset + combo)))
                 for combo in itertools.combinations(noise, pad)
             ]
             synthetic = len(samples) < 2

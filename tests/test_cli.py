@@ -16,9 +16,14 @@ import ceda.protocol
 from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
 from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
-from ceda.protocol import ProtocolConfig
+from ceda.protocol import ProtocolConfig, SubsetEvaluator
 from ceda.tabulate import CategoricalSeries, crosstab, entropy_report
-from conftest import count_fusion_calls, traced_peak
+from conftest import binned, count_fusion_calls, traced_peak
+
+
+def reject_constant(name):
+    """``json.loads``' ``parse_constant``: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} in a JSON report")
 
 
 def run(capsys, *argv):
@@ -776,6 +781,46 @@ class TestNullCommand:
         _, again, _ = run(capsys, *argv)
         assert out == again
 
+    def test_band_row_is_the_subsets_own_and_the_evaluators(self, capsys, ex4_csv):
+        argv = ("null", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2,X3,X4",
+                "--replicates", "50", "--seed", "1")
+        rows = {}
+        for subsets in ("X1,X2+X3", "X2+X3,X1"):
+            code, out, _ = run(capsys, *argv, "--subsets", subsets)
+            assert code == 0
+            rows[subsets] = sorted(out.splitlines()[2:])
+        assert rows["X1,X2+X3"] == rows["X2+X3,X1"]
+
+        code, out, _ = run(capsys, *argv, "--subsets", "X2+X3,X1", "--format", "json")
+        assert code == 0
+        data = sample(GeneratorSpec("ex4", 2000, seed=1))
+        evaluator = SubsetEvaluator(
+            {c: binned(data[c]) for c in ("X1", "X2", "X3", "X4")},
+            binned(data["Y"]),
+            ProtocolConfig(replicates=50, seed=1),
+        )
+        for row in json.loads(out)["verdicts"]:
+            verdict = evaluator.mi_verdict(tuple(row["subset"]))
+            assert row == {
+                "subset": row["subset"],
+                "observed": verdict.observed,
+                "status": verdict.status,
+                "excess_sd": verdict.excess_sd,
+                "band": verdict.band.to_json_dict(),
+            }
+
+    def test_json_writes_an_unbounded_excess_as_null(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("X,Y\n0,0\n0,0\n1,1\n")
+        code, out, _ = run(
+            capsys, "null", "--input", str(path), "--response", "Y", "--covariates", "X",
+            "--categorize", "X=categorical,Y=categorical", "--replicates", "2", "--seed", "7",
+            "--format", "json",
+        )
+        assert code == 0
+        (verdict,) = json.loads(out, parse_constant=reject_constant)["verdicts"]
+        assert verdict["band"]["sd"] == 0.0 and verdict["excess_sd"] is None
+
 
 class TestBinsCommand:
     def test_emit_then_replay(self, capsys, tmp_path, ex1_csv):
@@ -858,6 +903,24 @@ class TestBinsCommand:
             for c in ("X1", "X2", "Y")
         }
         assert out == reference_replay_csv(labeled)
+
+    @pytest.mark.parametrize("labels", ["ab", "01"], ids=["letters", "digits"])
+    def test_replay_on_a_categorical_column_is_exit_3(self, capsys, tmp_path, labels):
+        path = tmp_path / "g.csv"
+        path.write_text("G\n" + "".join(f"{labels[i % 2]}\n" for i in range(8)))
+        replay_path = tmp_path / "s.json"
+        scheme = quantile_bins(np.arange(8.0), 1).to_json()
+        replay_path.write_text(json.dumps({"G": json.loads(scheme)}))
+        code, out, err = run(
+            capsys, "bins", "--input", str(path), "--replay", str(replay_path),
+            "--categorize", "G=categorical",
+        )
+        assert code == 3
+        assert err == (
+            f"config error: column 'G': replay file {replay_path} cannot bin"
+            " a categorical column\n"
+        )
+        assert out == ""
 
     def test_replay_of_a_column_the_csv_lacks_is_exit_2(self, capsys, tmp_path, ex1_csv):
         replay_path = tmp_path / "z.json"
@@ -999,9 +1062,9 @@ class TestSelectCommand:
             "--replicates", "20", "--threads", "2",
         )
         assert code == 0
-        # the ledger's ten subsets, read again by noise levels and selection, and
-        # X4's padding by X3, which keeps its own (X4, X3) order
-        assert len(calls) == 11
+        # the ledger's ten subsets, read again by noise levels and selection; X4's
+        # padding by X3 reads the ledger's own (X3, X4) table
+        assert len(calls) == 10
         assert set(calls.values()) == {1}
 
 
@@ -1209,6 +1272,6 @@ def test_exit_code_contract(tmp_path_factory, run_case):
         elif argv[0] == "simulate":
             assert len(report.splitlines()) == 1 + int(argv[argv.index("--n") + 1])
         elif argv[0] == "bins" or argv[-1] == "json":
-            assert "config_digest" in json.loads(report)
+            assert "config_digest" in json.loads(report, parse_constant=reject_constant)
         else:
             assert report.startswith("# config ") and "\t" in report
