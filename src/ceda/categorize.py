@@ -14,7 +14,6 @@ matrix bit for bit.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -75,19 +74,16 @@ class BinningScheme:
     def n_bins(self) -> int:
         return self.k_interior + 2
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "edges": self.edges.tolist(),
-                "low_q": self.low_q,
-                "high_q": self.high_q,
-                "k_interior": self.k_interior,
-            }
-        )
+    def to_json_dict(self) -> dict:
+        return {
+            "edges": self.edges.tolist(),
+            "low_q": self.low_q,
+            "high_q": self.high_q,
+            "k_interior": self.k_interior,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "BinningScheme":
-        obj = json.loads(text)
+    def from_json_dict(cls, obj: dict) -> "BinningScheme":
         return cls(
             edges=np.asarray(obj["edges"], dtype=float),
             low_q=obj["low_q"],
@@ -304,16 +300,15 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def kmeans_fit(
-    points,
-    k: int,
-    seed: int | None = 0,
-    max_iter: int = 300,
-    rel_tol: float = 1e-6,
-) -> KMeansModel:
+# A K-means fit stops at the first iteration that improves its inertia by a
+# smaller share than this.
+KMEANS_REL_TOL = 1e-6
+
+
+def kmeans_fit(points, k: int, seed: int | None = 0, max_iter: int = 300) -> KMeansModel:
     """Lloyd's algorithm from a k-means++ start.
 
-    Stops when the relative inertia improvement drops below ``rel_tol``, or
+    Stops when the relative inertia improvement drops below ``KMEANS_REL_TOL``, or
     when the centroids equal, bit for bit, those of ``p`` iterations before.
     Each iteration's centroids depend on the previous centroids alone, so
     from then on the fit repeats that cycle; it stops at the first iteration
@@ -367,7 +362,7 @@ def kmeans_fit(
             d2[far] = 0.0
         labels, d2 = assign(centroids)
         new_inertia = float(d2.sum())
-        converged = inertia > 0 and (inertia - new_inertia) / inertia < rel_tol
+        converged = inertia > 0 and (inertia - new_inertia) / inertia < KMEANS_REL_TOL
         inertia = new_inertia
         # centroids seen ``period`` iterations ago: the fit cycles from here
         period = iterations - seen.setdefault(centroids.tobytes(), iterations)

@@ -378,7 +378,8 @@ def _build_series(data, config: RunConfig):
 
 
 def _parse_subsets(text: str | None, config: RunConfig) -> list[tuple]:
-    if not text:
+    """``--subsets`` entries as typed, each ``+`` entry a feature set; none given: singletons."""
+    if text is None:
         return [(c,) for c in config.covariates]
     subsets = []
     for item in text.split(","):
@@ -392,6 +393,8 @@ def _parse_subsets(text: str | None, config: RunConfig) -> list[tuple]:
         if len(set(parts)) < len(parts):
             raise ConfigError(f"subset {item!r} names a covariate more than once")
         subsets.append(parts)
+    if not subsets:
+        raise ConfigError("--subsets names no subset")
     return subsets
 
 
@@ -473,7 +476,7 @@ def cmd_bins(args) -> int:
         labeled = {}
         for c, s in schemes.items():
             try:
-                scheme = BinningScheme.from_json(json.dumps(s))
+                scheme = BinningScheme.from_json_dict(s)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"replay file {args.replay}: bad scheme for {c!r}: {exc}"
@@ -488,7 +491,7 @@ def cmd_bins(args) -> int:
         method, k = config.directive(c)
         if method != "quantile":
             continue
-        out[c] = json.loads(_quantile_scheme(c, data[c], k).to_json())
+        out[c] = _quantile_scheme(c, data[c], k).to_json_dict()
     _emit(json.dumps(out, indent=2) + "\n", args.out)
     return 0
 
@@ -498,9 +501,7 @@ def cmd_measure(args) -> int:
     subsets = _parse_subsets(args.subsets, config)
     reports = [(s, entropy_report(evaluator.table(s))) for s in subsets]
     fields = {
-        "reports": [
-            {"subset": list(s), **json.loads(r.to_json(total=evaluator.n))} for s, r in reports
-        ]
+        "reports": [{"subset": list(s), **r.to_json_dict(total=evaluator.n)} for s, r in reports]
     }
     lines = ["subset\trows\tcols\th_y\th_y_given_a\tmi"]
     for s, r in reports:

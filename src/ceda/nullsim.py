@@ -166,8 +166,8 @@ def mimic_ce_samples(
 def null_band(
     table: ContingencyTable,
     statistic: str,
-    n_replicates: int = 1000,
-    rng: np.random.Generator | int | None = None,
+    n_replicates: int,
+    rng: np.random.Generator,
 ) -> NullBand:
     """Null band of a statistic over independent mimics of the table.
 
@@ -179,8 +179,6 @@ def null_band(
         raise ValueError(f"unknown statistic {statistic!r}")
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
-    if not isinstance(rng, np.random.Generator):
-        rng = child_rng(0 if rng is None else int(rng))
     ce = mimic_ce_samples(table, n_replicates, rng)
     if statistic == "conditional_entropy":
         samples = ce

@@ -158,7 +158,6 @@ class MajorFactorReport:
     alternative_collections: list
     pair_analyses: list
     excluded: list
-    reference_levels: dict
 
 
 def enumerate_subsets(features, max_order: int) -> list[tuple]:
@@ -206,9 +205,11 @@ class SubsetEvaluator:
 
     Tables, conditional entropies, C1 verdicts and noise levels depend only
     on the data, the config and keyed seeds, so each is computed once and
-    memoised under ``(kind, key)``.  A subset's fused labels are not kept:
-    they are built for its table and counted away.  Safe to share between
-    threads.
+    memoised under ``(kind, key)``.  A subset is a feature set: every method
+    sorts the subset it is given before using it as a memo key, a stream tag
+    or a fusion order, so the order it is named in changes nothing.  A
+    subset's fused labels are not kept: they are built for its table and
+    counted away.  Safe to share between threads.
     """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
@@ -219,6 +220,8 @@ class SubsetEvaluator:
         self._memo = _OnceCache()
 
     def table(self, subset: tuple):
+        subset = tuple(sorted(subset))
+
         def compute():
             series = [self.covariates[f] for f in subset]
             fused = series[0] if len(series) == 1 else product_categories(series)
@@ -227,11 +230,12 @@ class SubsetEvaluator:
         return self._memo.get(("table", subset), compute)
 
     def ce(self, subset: tuple) -> float:
+        subset = tuple(sorted(subset))
         return self._memo.get(("ce", subset), lambda: conditional_entropy(self.table(subset)))
 
     def mi_verdict(self, subset: tuple) -> C1Verdict:
         """[C1] verdict on I[Y; subset] against its mimic null band."""
-
+        subset = tuple(sorted(subset))
         cfg = self.config
         return self._memo.get(
             ("verdict", subset),
@@ -267,6 +271,7 @@ class SubsetEvaluator:
         The rule is the module docstring's; synthetic draws number
         ``REF_REPLICATES`` for the empty subset and ``PAD_REPLICATES`` otherwise.
         """
+        subset = tuple(sorted(subset))
         pad = order - len(subset)
         if pad < 1:
             raise ValueError("the order must exceed the subset size")
@@ -276,11 +281,7 @@ class SubsetEvaluator:
             noise = [
                 f for f in cfg.noise_features if f in self.covariates and f not in subset
             ]
-            # each sample is a ledger subset, keyed as the ledger keys it (sorted)
-            samples = [
-                self.ce(tuple(sorted(subset + combo)))
-                for combo in itertools.combinations(noise, pad)
-            ]
+            samples = [self.ce(subset + combo) for combo in itertools.combinations(noise, pad)]
             synthetic = len(samples) < 2
             if synthetic:
                 if subset:
@@ -434,9 +435,7 @@ def ledger_to_tsv(entries) -> str:
     ]
     for e in entries:
         star = "" if e.sce_star_drop is None else f"{e.sce_star_drop:.6f}"
-        status = e.c1.status if e.c1 is not None else (
-            "unreliable" if not e.reliable else ""
-        )
+        status = "unreliable" if e.c1 is None else e.c1.status
         lines.append(
             f"{e.order}\t{'_'.join(str(f) for f in e.subset)}\t{e.ce:.6f}\t"
             f"{e.ce_drop:.6f}\t{e.sce_drop:.6f}\t{star}\t{e.table_rows}\t"
@@ -537,9 +536,6 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     confirmed = [((f,), 1, "order-1 major factor") for f in sorted(chief, key=str)]
     for pair in interactions:
         confirmed.append((pair, 2, "order-2 major factor (interaction)"))
-    reference_levels = {1: ref1.mean}
-    if config.max_order >= 2:
-        reference_levels[2] = evaluator.reference_band(2).mean
 
     return MajorFactorReport(
         confirmed=confirmed,
@@ -547,7 +543,6 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
         alternative_collections=alternatives,
         pair_analyses=pair_analyses,
         excluded=excluded,
-        reference_levels=reference_levels,
     )
 
 

@@ -12,7 +12,6 @@ or smoothing is applied anywhere.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +131,8 @@ class EntropyReport:
     rows: int
     cols: int
 
-    def to_json(self, total: int) -> str:
-        obj = {
+    def to_json_dict(self, total: int) -> dict:
+        return {
             "rows": self.rows,
             "cols": self.cols,
             "total": total,
@@ -141,7 +140,6 @@ class EntropyReport:
             "h_y_given_a": self.h_y_given_a,
             "mi": self.mutual_info,
         }
-        return json.dumps(obj)
 
 
 def fuse_labels(series) -> tuple[np.ndarray, int]:

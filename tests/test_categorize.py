@@ -155,7 +155,7 @@ class TestQuantileBins:
 
     def test_json_round_trip(self):
         scheme = quantile_bins(np.arange(100.0), 10)
-        back = BinningScheme.from_json(scheme.to_json())
+        back = BinningScheme.from_json_dict(scheme.to_json_dict())
         assert np.array_equal(back.edges, scheme.edges)
         assert back.k_interior == scheme.k_interior
 

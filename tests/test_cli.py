@@ -1,11 +1,14 @@
 """Command-line workflows: ingestion, reports, exit codes, provenance."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ceda.nullsim
 import ceda.protocol
-from ceda.cli import ConfigError, DataError, RunConfig, ingest_csv, main
+from ceda.cli import ConfigError, DataError, RunConfig, _add_common, ingest_csv, main
 from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import ProtocolConfig, SubsetEvaluator
@@ -507,6 +510,16 @@ class TestExitCodes:
         assert err.startswith("config error: subset 'X1+X1'")
         assert out == ""
 
+    @pytest.mark.parametrize("command, value", [("null", ","), ("measure", " "), ("measure", "")])
+    def test_subsets_naming_no_subset_is_exit_3(self, capsys, ex4_csv, command, value):
+        code, out, err = run(
+            capsys, command, "--input", ex4_csv, "--response", "Y",
+            "--covariates", "X1,X2", "--subsets", value, "--replicates", "50",
+        )
+        assert code == 3
+        assert err == "config error: --subsets names no subset\n"
+        assert out == ""
+
     @pytest.mark.parametrize(
         "command, roles, message",
         [
@@ -822,6 +835,48 @@ class TestNullCommand:
         assert verdict["band"]["sd"] == 0.0 and verdict["excess_sd"] is None
 
 
+class TestPlusEntries:
+    """A ``+`` entry names a feature set: the order it is typed in changes no number."""
+
+    @pytest.fixture(scope="class")
+    def evaluator(self):
+        data = sample(GeneratorSpec("ex4", 2000, seed=1))
+        return SubsetEvaluator(
+            {c: binned(data[c]) for c in ("X1", "X2", "X3", "X4")},
+            binned(data["Y"]),
+            ProtocolConfig(replicates=50, seed=1),
+        )
+
+    def rows(self, capsys, ex4_csv, command, key):
+        rows = {}
+        for entry in ("X1+X2", "X2+X1"):
+            code, out, _ = run(
+                capsys, command, "--input", ex4_csv, "--response", "Y",
+                "--covariates", "X1,X2,X3,X4", "--replicates", "50", "--seed", "1",
+                "--subsets", entry, "--format", "json",
+            )
+            assert code == 0
+            (row,) = json.loads(out)[key]
+            assert row.pop("subset") == entry.split("+")
+            rows[entry] = row
+        assert rows["X2+X1"] == rows["X1+X2"]
+        return rows["X1+X2"]
+
+    def test_measure_row_is_the_sorted_sets(self, capsys, ex4_csv, evaluator):
+        row = self.rows(capsys, ex4_csv, "measure", "reports")
+        assert row == entropy_report(evaluator.table(("X1", "X2"))).to_json_dict(total=2000)
+
+    def test_null_row_is_the_sorted_sets(self, capsys, ex4_csv, evaluator):
+        row = self.rows(capsys, ex4_csv, "null", "verdicts")
+        verdict = evaluator.mi_verdict(("X1", "X2"))
+        assert row == {
+            "observed": verdict.observed,
+            "status": verdict.status,
+            "excess_sd": verdict.excess_sd,
+            "band": verdict.band.to_json_dict(),
+        }
+
+
 class TestBinsCommand:
     def test_emit_then_replay(self, capsys, tmp_path, ex1_csv):
         scheme_path = tmp_path / "schemes.json"
@@ -899,7 +954,7 @@ class TestBinsCommand:
         data = sample(GeneratorSpec("ex4", 2000, seed=1))
         schemes = json.loads(scheme_path.read_text())
         labeled = {
-            c: apply_bins(data[c], BinningScheme.from_json(json.dumps(schemes[c]))).labels
+            c: apply_bins(data[c], BinningScheme.from_json_dict(schemes[c])).labels
             for c in ("X1", "X2", "Y")
         }
         assert out == reference_replay_csv(labeled)
@@ -909,8 +964,8 @@ class TestBinsCommand:
         path = tmp_path / "g.csv"
         path.write_text("G\n" + "".join(f"{labels[i % 2]}\n" for i in range(8)))
         replay_path = tmp_path / "s.json"
-        scheme = quantile_bins(np.arange(8.0), 1).to_json()
-        replay_path.write_text(json.dumps({"G": json.loads(scheme)}))
+        scheme = quantile_bins(np.arange(8.0), 1).to_json_dict()
+        replay_path.write_text(json.dumps({"G": scheme}))
         code, out, err = run(
             capsys, "bins", "--input", str(path), "--replay", str(replay_path),
             "--categorize", "G=categorical",
@@ -924,8 +979,8 @@ class TestBinsCommand:
 
     def test_replay_of_a_column_the_csv_lacks_is_exit_2(self, capsys, tmp_path, ex1_csv):
         replay_path = tmp_path / "z.json"
-        scheme = quantile_bins(np.arange(50.0), 10).to_json()
-        replay_path.write_text(json.dumps({"Z": json.loads(scheme)}))
+        scheme = quantile_bins(np.arange(50.0), 10).to_json_dict()
+        replay_path.write_text(json.dumps({"Z": scheme}))
         code, out, err = run(capsys, "bins", "--input", ex1_csv, "--replay", str(replay_path))
         assert code == 2
         assert err.startswith("data error:") and "'Z'" in err
@@ -1275,3 +1330,13 @@ def test_exit_code_contract(tmp_path_factory, run_case):
             assert "config_digest" in json.loads(report, parse_constant=reject_constant)
         else:
             assert report.startswith("# config ") and "\t" in report
+
+
+def test_readme_names_every_common_flag():
+    """README's "All subcommands share the flags ..." sentence lists ``_add_common``'s options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"All subcommands share the flags (.*?)\.\s", readme, re.S).group(1)
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_common(parser)
+    registered = [s for action in parser._actions for s in action.option_strings]
+    assert re.findall(r"`(--[\w-]+)", sentence) == registered

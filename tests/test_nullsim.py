@@ -255,7 +255,7 @@ class TestNullBand:
     def test_unknown_statistic_rejected(self):
         t = ContingencyTable([[5, 5]])
         with pytest.raises(ValueError):
-            null_band(t, "chi_squared", 100)
+            null_band(t, "chi_squared", 100, child_rng(0))
 
     def test_band_invariants(self):
         with pytest.raises(ValueError):

@@ -472,3 +472,20 @@ class TestSharedEvaluator:
             sys.setswitchinterval(interval)
         assert results == [expected] * 16
         assert dict(calls) == expected_calls
+
+
+class TestSubsetIdentity:
+    """A subset is a feature set: each method keys, seeds and fuses it in sorted order."""
+
+    def test_any_order_reads_the_sorted_subsets_entries(self, monkeypatch):
+        data = sample(GeneratorSpec("ex4", 600, seed=3))
+        y = binned(data["Y"], 4)
+        cov = {f: binned(data[f], 4) for f in ("X1", "X2", "X3")}
+        monkeypatch.setattr(ceda.protocol, "PAD_REPLICATES", 6)
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(replicates=20, seed=1))
+        calls = count_fusion_calls(monkeypatch)
+        assert ev.table(("X2", "X1")) is ev.table(("X1", "X2"))
+        assert calls["crosstab"] == 1
+        assert ev.ce(("X3", "X1", "X2")) == ev.ce(("X1", "X2", "X3"))
+        assert ev.mi_verdict(("X2", "X1")) is ev.mi_verdict(("X1", "X2"))
+        assert ev.padded_ce_samples(("X2", "X1"), 3) is ev.padded_ce_samples(("X1", "X2"), 3)

@@ -257,9 +257,7 @@ class TestRefinement:
 
 class TestSerialization:
     def test_report_json_fields(self):
-        import json
-
         t = ContingencyTable([[1, 2], [3, 4]])
-        obj = json.loads(entropy_report(t).to_json(total=t.total))
+        obj = entropy_report(t).to_json_dict(total=t.total)
         assert set(obj) == {"rows", "cols", "total", "h_y", "h_y_given_a", "mi"}
         assert obj["total"] == 10
