@@ -38,33 +38,17 @@ __all__ = [
 TAIL_QUANTILES = (0.05, 0.95)
 
 
-def _check_scheme_params(k_interior, low_q, high_q):
-    """Raise ``ValueError`` unless k_interior is an integer >= 1 and 0 < low_q < high_q < 1."""
-    if isinstance(k_interior, bool) or not isinstance(k_interior, numbers.Integral):
-        raise ValueError(f"k_interior must be an integer, got {k_interior!r}")
-    if k_interior < 1:
-        raise ValueError("k_interior must be >= 1")
-    if not all(
-        isinstance(q, numbers.Real) and not isinstance(q, bool) for q in (low_q, high_q)
-    ) or not (0.0 < low_q < high_q < 1.0):
-        raise ValueError("need 0 < low_q < high_q < 1")
-
-
 @dataclass(frozen=True)
 class BinningScheme:
     """1+K+1 binning: K+1 ascending cut points giving K+2 right-closed bins."""
 
     edges: np.ndarray
-    low_q: float
-    high_q: float
-    k_interior: int
 
     def __post_init__(self):
-        _check_scheme_params(self.k_interior, self.low_q, self.high_q)
         edges = np.asarray(self.edges, dtype=float)
         object.__setattr__(self, "edges", edges)
-        if edges.ndim != 1 or edges.size != self.k_interior + 1:
-            raise ValueError("expected a flat list of k_interior + 1 cut points")
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValueError("expected a flat list of at least 2 cut points")
         if not np.isfinite(edges).all():
             raise ValueError("cut points must be finite")
         if not np.all(np.diff(edges) > 0):
@@ -72,24 +56,14 @@ class BinningScheme:
 
     @property
     def n_bins(self) -> int:
-        return self.k_interior + 2
+        return self.edges.size + 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "edges": self.edges.tolist(),
-            "low_q": self.low_q,
-            "high_q": self.high_q,
-            "k_interior": self.k_interior,
-        }
+        return {"edges": self.edges.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BinningScheme":
-        return cls(
-            edges=np.asarray(obj["edges"], dtype=float),
-            low_q=obj["low_q"],
-            high_q=obj["high_q"],
-            k_interior=obj["k_interior"],
-        )
+        return cls(edges=obj["edges"])
 
 
 def linear_quantile(values, q) -> np.ndarray:
@@ -133,15 +107,16 @@ def quantile_bins(values, k_interior: int) -> BinningScheme:
     a sort with ``linear_quantile`` (numpy's "linear" rule, bit for bit).
     """
     values = np.asarray(values, dtype=float)
-    low_q, high_q = TAIL_QUANTILES
-    _check_scheme_params(k_interior, low_q, high_q)
+    if isinstance(k_interior, bool) or not isinstance(k_interior, numbers.Integral):
+        raise ValueError(f"k_interior must be an integer, got {k_interior!r}")
+    if k_interior < 1:
+        raise ValueError("k_interior must be >= 1")
     if values.size < k_interior + 2:
         raise ValueError("too few values for the requested bin count")
     lo, hi = linear_quantile(values, TAIL_QUANTILES)
     if not hi > lo:
         raise ValueError("degenerate feature: quantile range has zero width")
-    edges = np.linspace(lo, hi, k_interior + 1)
-    return BinningScheme(edges=edges, low_q=low_q, high_q=high_q, k_interior=k_interior)
+    return BinningScheme(edges=np.linspace(lo, hi, k_interior + 1))
 
 
 def apply_bins(values, scheme: BinningScheme) -> CategoricalSeries:

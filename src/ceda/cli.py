@@ -361,15 +361,10 @@ def _kmeans_series(name: str, values: np.ndarray, k: int, config: RunConfig) -> 
 
 def _build_series(data, config: RunConfig):
     """Categorized response + covariate series from raw columns."""
-    if not config.response:
-        raise ConfigError("no response column named (use --response)")
-    if not config.covariates:
-        raise ConfigError("no covariate columns named (use --covariates)")
     if len(config.response) == 1:
         response = _categorize_column(config.response[0], data[config.response[0]], config)
     else:
         # multi-column response: K-means fusion on the stacked coordinates
-        _require_numeric(config, config.response)
         block = np.column_stack([data[c] for c in config.response])
         k = config.directive(config.response[0])[1]
         response = _kmeans_series(",".join(config.response), block, k, config)
@@ -439,11 +434,22 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _load(args) -> tuple[RunConfig, SubsetEvaluator]:
-    """The run's config and the evaluator of its series, read from ``--input``."""
+def _series_config(args) -> RunConfig:
+    """The run's config, with the roles ``_build_series`` needs checked before any data is read."""
     config = build_run_config(args)
+    if not config.response:
+        raise ConfigError("no response column named (use --response)")
+    if not config.covariates:
+        raise ConfigError("no covariate columns named (use --covariates)")
+    if len(config.response) > 1:
+        _require_numeric(config, config.response)
+    return config
+
+
+def _load(config: RunConfig) -> SubsetEvaluator:
+    """The evaluator of the run's series, read from ``--input``."""
     covs, response = _build_series(ingest_csv(config.input_path, config), config)
-    return config, SubsetEvaluator(covs, response, config.protocol)
+    return SubsetEvaluator(covs, response, config.protocol)
 
 
 def cmd_simulate(args) -> int:
@@ -471,18 +477,16 @@ def cmd_bins(args) -> int:
         if not schemes:
             raise ConfigError(f"replay file {args.replay} holds no schemes")
         _require_numeric(config, schemes, f"replay file {args.replay} cannot bin")
-        # read exactly the scheme's columns: a column the CSV lacks is a data error
-        data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(schemes)))
-        labeled = {}
         for c, s in schemes.items():
             try:
-                scheme = BinningScheme.from_json_dict(s)
-            except (KeyError, TypeError, ValueError) as exc:
+                schemes[c] = BinningScheme.from_json_dict(s)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(
                     f"replay file {args.replay}: bad scheme for {c!r}: {exc}"
                 ) from exc
-            labeled[c] = apply_bins(data[c], scheme).labels
-        _emit_csv(labeled, args.out)
+        # read exactly the scheme's columns: a column the CSV lacks is a data error
+        data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(schemes)))
+        _emit_csv({c: apply_bins(data[c], s).labels for c, s in schemes.items()}, args.out)
         return 0
     data = ingest_csv(config.input_path, config)
     out = dict(_provenance(config))
@@ -497,8 +501,9 @@ def cmd_bins(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    config, evaluator = _load(args)
+    config = _series_config(args)
     subsets = _parse_subsets(args.subsets, config)
+    evaluator = _load(config)
     reports = [(s, entropy_report(evaluator.table(s))) for s in subsets]
     fields = {
         "reports": [{"subset": list(s), **r.to_json_dict(total=evaluator.n)} for s, r in reports]
@@ -514,9 +519,11 @@ def cmd_measure(args) -> int:
 
 
 def cmd_null(args) -> int:
-    config, evaluator = _load(args)
+    config = _series_config(args)
+    subsets = _parse_subsets(args.subsets, config)
+    evaluator = _load(config)
     rows = []
-    for subset in _parse_subsets(args.subsets, config):
+    for subset in subsets:
         verdict = evaluator.mi_verdict(subset)
         rows.append((subset, verdict))
         _log(f"null {'+'.join(subset)}: {verdict.status}")
@@ -548,12 +555,12 @@ def cmd_grid(args) -> int:
     if len(config.response) != 1 or len(config.covariates) != 1:
         raise ConfigError("grid needs exactly one response and one covariate column")
     _require_numeric(config, config.response + config.covariates)
-    data = ingest_csv(config.input_path, config)
     try:
         y_ladder = [int(v) for v in args.y_ladder.split(",")]
         x_ladder = [int(v) for v in args.x_ladder.split(",")]
     except ValueError as exc:
         raise ConfigError("ladders must be comma-separated integers") from exc
+    data = ingest_csv(config.input_path, config)
     n = len(data[config.response[0]])
     bad = [k for k in y_ladder + x_ladder if not 1 <= k <= n]
     if bad:
@@ -590,12 +597,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config, evaluator = _load(args)
+    config = _series_config(args)
     _check_max_order(config)
     # only select reads --noise, so a config file shared with measure may name any
     unknown = [c for c in config.protocol.noise_features if c not in config.covariates]
     if unknown:
         raise ConfigError(f"noise features must be covariates, got {unknown}")
+    evaluator = _load(config)
     if evaluator.n < 3:  # synthetic noise features are binned 1+K+1, which takes 3 values
         raise DataError(f"select needs at least 3 rows, got {evaluator.n}")
     _log(f"select: {len(evaluator.covariates)} covariates, max order {config.protocol.max_order}")

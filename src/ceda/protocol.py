@@ -75,7 +75,7 @@ CANDIDATE_MARGIN = 0.01
 # and for any other subset's noise level.
 REF_REPLICATES = 100
 PAD_REPLICATES = 30
-# A subset whose full table would exceed this many cells is listed unevaluated.
+# A subset whose full table would exceed this many cells is neither evaluated nor classified.
 CELL_BUDGET = 2_000_000
 
 
@@ -121,7 +121,6 @@ class SubsetLedgerEntry:
 
     subset: tuple
     order: int
-    table_cols: int
     ce: float = math.nan
     ce_drop: float = math.nan
     sce_drop: float = math.nan
@@ -321,17 +320,24 @@ def sce_star_drop(
     return drop, evaluator.drew_synthetic(rest, k)
 
 
+def _over_budget(evaluator: SubsetEvaluator, subset: tuple) -> bool:
+    """Whether the subset's full table would exceed ``CELL_BUDGET``, judged before it is built."""
+    cells = math.prod(evaluator.covariates[f].cardinality for f in subset)
+    return cells * evaluator.response.cardinality > CELL_BUDGET
+
+
 def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
     """Interaction / ecological / non-coexistence call at matched dimension.
 
     ``joint_drop`` and the per-feature ``part_drops`` are all measured
     against the size-k noise reference, so the comparison is scale-free.
+    A subset over the cell budget, or whose table is sparser than the cell
+    floor, is left undetermined.
     """
     config = evaluator.config
     k = len(subset)
     ref = evaluator.reference_band(k)
-    table = evaluator.table(subset)
-    if table.avg_cell_count < config.cell_floor:
+    if _over_budget(evaluator, subset) or evaluator.table(subset).avg_cell_count < config.cell_floor:
         return PairAnalysis(pair=subset)
     ce_joint = evaluator.ce(subset)
     joint_drop = ref.mean - ce_joint
@@ -372,9 +378,8 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
 
 def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntry:
     k = len(subset)
-    cols = evaluator.response.cardinality
-    if math.prod(evaluator.covariates[f].cardinality for f in subset) * cols > CELL_BUDGET:
-        return SubsetLedgerEntry(subset, k, table_cols=cols)
+    if _over_budget(evaluator, subset):
+        return SubsetLedgerEntry(subset, k)
     table = evaluator.table(subset)
     ce = evaluator.ce(subset)
     ce_drop = evaluator.reference_band(k).mean - ce
@@ -400,7 +405,6 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
         sce_drop=sce,
         sce_star_drop=sce_star,
         table_rows=table.rows,
-        table_cols=table.cols,
         avg_cell=table.avg_cell_count,
         reliable=reliable,
         c1=c1,

@@ -681,6 +681,37 @@ class TestExitCodes:
         code, out, _ = run(capsys, "measure", *argv)
         assert code == 0 and out.startswith("# config ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["measure"], "no response column named"),
+            (["null", "--response", "Y"], "no covariate columns named"),
+            (["measure", "--response", "Y", "--covariates", "X1,X2", "--subsets", "NOPE"],
+             "subset names unknown covariates ['NOPE']"),
+            (["null", "--response", "Y,X1", "--covariates", "X2", "--categorize", "Y=categorical"],
+             "K-means cannot cluster a categorical column"),
+            (["select", "--response", "Y", "--covariates", "X1"], "max-order 2 exceeds"),
+            (["select", "--response", "Y", "--covariates", "X1,X2", "--noise", "Z"],
+             "noise features must be covariates"),
+            (["grid", "--response", "Y", "--covariates", "X1", "--y-ladder", "a"],
+             "ladders must be comma-separated integers"),
+            (["bins", "--replay"], "bad scheme for 'X1'"),
+        ],
+        ids=["no-response", "no-covariates", "subsets", "multi-response", "max-order", "noise",
+             "ladder", "replay"],
+    )
+    def test_settings_error_comes_before_the_input_is_read(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("Y,X1,X2\n" + "".join(f"{i},{i},{i}\n" for i in range(20)) + "a,b,c\n")
+        if argv[-1] == "--replay":
+            replay_path = tmp_path / "s.json"
+            replay_path.write_text(json.dumps({"X1": {"edges": [1, 0]}}))
+            argv = [*argv, str(replay_path)]
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 3
+        assert err.startswith("config error:") and message in err
+        assert out == ""
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_select_on_fewer_than_three_rows_is_exit_2(self, capsys, tmp_path, n):
         path = tmp_path / "d.csv"
@@ -906,15 +937,11 @@ class TestBinsCommand:
         [
             {"edges": [[0.1], [0.2]], "k_interior": 1},
             {"edges": [], "k_interior": -1},
-            {"low_q": "a"},
-            {"k_interior": True},
-            {"k_interior": 1.0},
-            {"high_q": 1.5},
             {"edges": [0.1, None], "k_interior": 1},
             {"edges": "0.1", "k_interior": 0},
+            {"edges": [0.1, 10**400]},
         ],
-        ids=["nested-edges", "negative-k", "string-q", "bool-k", "float-k", "q-above-1",
-             "null-edge", "string-edges"],
+        ids=["nested-edges", "negative-k", "null-edge", "string-edges", "huge-edge"],
     )
     def test_malformed_replay_scheme_is_exit_3(self, capsys, tmp_path, ex1_csv, fields):
         scheme = {"edges": [0.1, 0.2], "low_q": 0.05, "high_q": 0.95, "k_interior": 1}
@@ -988,7 +1015,7 @@ class TestBinsCommand:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "{not json", "[1, 2]", "{}", '{"Y": {"edges": [0, 1]}}'],
+        [None, "{not json", "[1, 2]", "{}", '{"Y": {"edges": [1, 0]}}'],
         ids=["missing", "not-json", "not-an-object", "no-schemes", "bad-scheme"],
     )
     def test_unusable_replay_file_is_exit_3(self, capsys, tmp_path, ex1_csv, content):
@@ -1065,6 +1092,24 @@ class TestSelectCommand:
         assert payload["interactions"] == [["X2", "X3"]]
         assert payload["config_digest"]
         assert "ledger_tsv" in payload
+
+    def test_tsv_alternative_lines_are_the_json_alternatives(self, capsys, tmp_path):
+        path = tmp_path / "ex6.csv"
+        assert main(
+            ["simulate", "--example", "ex6", "--n", "2000", "--seed", "1", "--out", str(path)]
+        ) == 0
+        argv = (
+            "select", "--input", str(path), "--response", "Y",
+            "--covariates", ",".join(f"X{i}" for i in range(1, 11)), "--noise", "X7,X8,X9,X10",
+            "--seed", "1", "--replicates", "150",
+        )
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["alternatives"] == [["X4", "X5", "X6"]]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = [line.split("\t") for line in out.splitlines() if line.startswith("alternative\t")]
+        assert lines == [["alternative", "X4 X5 X6"]]
 
     def test_thread_count_changes_neither_work_nor_report(self, capsys, ex4_csv, monkeypatch):
         calls = count_fusion_calls(monkeypatch)
@@ -1330,6 +1375,16 @@ def test_exit_code_contract(tmp_path_factory, run_case):
             assert "config_digest" in json.loads(report, parse_constant=reject_constant)
         else:
             assert report.startswith("# config ") and "\t" in report
+
+
+def test_readme_library_example_runs(capsys):
+    """README's ``## Library`` example runs as written and prints its three results."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library\s+```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    mi, status, report = capsys.readouterr().out.splitlines()
+    assert float(mi) > 0 and status == "confirmed"
+    assert report.startswith("('X1',) ")
 
 
 def test_readme_names_every_common_flag():

@@ -257,6 +257,11 @@ class TestNullBand:
         with pytest.raises(ValueError):
             null_band(t, "chi_squared", 100, child_rng(0))
 
+    def test_fewer_than_two_replicates_rejected(self):
+        t = ContingencyTable([[5, 5], [5, 5]])
+        with pytest.raises(ValueError, match="at least 2 replicates"):
+            null_band(t, "mutual_information", 1, child_rng(0))
+
     def test_band_invariants(self):
         with pytest.raises(ValueError):
             NullBand("x", 1, 0.0, 0.0, 0.0, 0.0)

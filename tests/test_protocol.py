@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ceda.protocol
 from ceda.genlab import GeneratorSpec, sample
+from ceda.nullsim import NullBand
 from ceda.protocol import (
     PAD_REPLICATES,
     REF_REPLICATES,
@@ -164,10 +165,21 @@ class TestBuildLedger:
         assert pairs and all(not e.reliable for e in pairs)
         assert all(np.isnan(e.ce) for e in pairs)
         for e in pairs:
-            assert e.table_cols == y.cardinality
             assert np.isnan(e.ce_drop) and np.isnan(e.sce_drop)
             assert e.sce_star_drop is None and e.c1 is None
             assert (e.table_rows, e.avg_cell, e.synthetic_noise) == (0, 0.0, False)
+
+    def test_pair_over_the_cell_budget_is_not_classified(self, additive_sine_setup, monkeypatch):
+        cov, y = additive_sine_setup
+        monkeypatch.setattr(ceda.protocol, "CELL_BUDGET", 500)
+        cfg = ProtocolConfig(max_order=2, seed=1, replicates=200, cell_floor=0.0)
+        ev = SubsetEvaluator(cov, y, cfg)
+        unevaluated = [e.subset for e in build_ledger(ev) if e.order == 2 and np.isnan(e.ce)]
+        analyses = select_major_factors(ev).pair_analyses
+        assert sorted(unevaluated) == [a.pair for a in analyses] and len(analyses) == 6
+        for a in analyses:
+            assert a.classification == "undetermined (dimension)" and not a.significant
+            assert np.isnan(a.ratio) and np.isnan(a.excess) and a.part_drops == {}
 
     def test_sce_star_drop_adds_the_member_the_best_proper_subset_leaves_out(
         self, additive_sine_setup
@@ -305,6 +317,23 @@ class TestClassifySubset:
         assert np.isnan(analysis.joint_drop)
         assert np.isnan(analysis.excess) and np.isnan(analysis.ratio)
         assert analysis.significant is False
+
+    def test_significant_pair_between_the_bands_is_undetermined(
+        self, additive_sine_setup, monkeypatch
+    ):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(max_order=2, seed=1))
+        band = NullBand("conditional_entropy", 100, mean=1.0, sd=0.05, q025=0.9, q975=1.1)
+        monkeypatch.setattr(ev, "reference_band", lambda k: band)
+        monkeypatch.setattr(ev, "ce", lambda subset: 0.5)
+        monkeypatch.setattr(ev, "padded_ce", lambda subset, k: 0.85)
+        analysis = classify_subset(ev, ("X1", "X2"))
+        # every drop is significant; the joint drop 0.5 against parts of 0.15
+        # each gives a ratio of 5/3, between ECO_HIGH and r_int, and an excess
+        # of 0.2, above COEXIST_MARGIN
+        assert analysis.classification == "undetermined" and analysis.significant
+        assert analysis.ratio == pytest.approx(5 / 3)
+        assert analysis.excess == pytest.approx(0.2)
 
 
 class TestSelectMajorFactors:
