@@ -10,7 +10,8 @@ grid      mutual-information grid over K-means cluster-count ladders
 select    full subset ledger plus the major-factor report
 
 Data goes to stdout or ``--out``; progress lines go to stderr.  Exit codes:
-0 success, 2 data error (bad input file), 3 configuration or usage error.
+0 success, 2 data error (bad input file), 3 configuration or usage error, or
+a run that runs out of memory.
 """
 
 from __future__ import annotations
@@ -719,6 +720,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # the last resort for a request too large to hold
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -156,7 +156,6 @@ class MajorFactorReport:
     chief_collection: tuple
     alternative_collections: list
     pair_analyses: list
-    excluded: list
 
 
 def enumerate_subsets(features, max_order: int) -> list[tuple]:
@@ -243,9 +242,6 @@ class SubsetEvaluator:
             ),
         )
 
-    def _bins_for_noise(self) -> int:
-        return max(c.cardinality for c in self.covariates.values())
-
     def reference_band(self, k: int) -> NullBand:
         """Band of H[Y | k noise features]: the empty subset's noise level."""
         return self._noise_level((), k)[1]
@@ -256,9 +252,6 @@ class SubsetEvaluator:
         The empty subset gives the samples behind ``reference_band(target_order)``.
         """
         return self._noise_level(subset, target_order)[0]
-
-    def padded_ce(self, subset: tuple, target_order: int) -> float:
-        return float(self.padded_ce_samples(subset, target_order).mean())
 
     def drew_synthetic(self, subset: tuple, target_order: int) -> bool:
         """Whether the noise level of ``subset`` at ``target_order`` drew synthetic noise."""
@@ -290,9 +283,8 @@ class SubsetEvaluator:
                     rng = child_rng(cfg.seed, 90, order)
                     replicates = REF_REPLICATES
                 base = tuple(self.covariates[f] for f in subset)
-                drawn = synthetic_ce_samples(
-                    base, self.response, pad, self._bins_for_noise(), replicates, rng
-                )
+                n_bins = max(c.cardinality for c in self.covariates.values())
+                drawn = synthetic_ce_samples(base, self.response, pad, n_bins, replicates, rng)
                 samples = np.concatenate([samples, drawn])
             samples = np.asarray(samples)
             return samples, band_from_samples("conditional_entropy", samples), synthetic
@@ -316,7 +308,7 @@ def sce_star_drop(
         raise ValueError("added_feature must belong to the subset")
     rest = tuple(f for f in subset if f != added_feature)
     k = len(subset)
-    drop = evaluator.padded_ce(rest, k) - evaluator.ce(subset)
+    drop = float(evaluator.padded_ce_samples(rest, k).mean()) - evaluator.ce(subset)
     return drop, evaluator.drew_synthetic(rest, k)
 
 
@@ -345,7 +337,7 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
     parts = {}
     part_sig = {}
     for f in subset:
-        padded = evaluator.padded_ce((f,), k)
+        padded = float(evaluator.padded_ce_samples((f,), k).mean())
         parts[f] = ref.mean - padded
         part_sig[f] = padded < ref.q025 - CANDIDATE_MARGIN
     sum_parts = sum(max(v, 0.0) for v in parts.values())
@@ -497,15 +489,12 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     ref1 = evaluator.reference_band(1)
 
     candidates = []
-    excluded = []
     drops = {}
     for f, verdict in zip(features, verdicts):
         ce = evaluator.ce((f,))
         drops[f] = ref1.mean - ce
         if verdict.status == "confirmed" and ce < ref1.q025 - CANDIDATE_MARGIN:
             candidates.append(f)
-        else:
-            excluded.append(((f,), "not confirmed as order-1"))
 
     conflicts = set()
     links: dict = {}
@@ -546,7 +535,6 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
         chief_collection=tuple(sorted(chief, key=str)),
         alternative_collections=alternatives,
         pair_analyses=pair_analyses,
-        excluded=excluded,
     )
 
 

@@ -28,9 +28,6 @@ __all__ = [
     "mutual_information",
 ]
 
-#: floating-point slack below which a negative mutual information is clamped to 0
-MI_CLAMP = 1e-12
-
 
 @functools.lru_cache(maxsize=1)
 def xlogx_table(total: int) -> np.ndarray:
@@ -84,7 +81,7 @@ class CategoricalSeries:
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """R x C count matrix: occupied covariate categories vs response categories."""
+    """R x C count matrix, occupied covariate categories vs response categories; total > 0."""
 
     counts: np.ndarray
     total: int = field(init=False)
@@ -99,6 +96,8 @@ class ContingencyTable:
         if (counts.sum(axis=1) == 0).any():
             raise ValueError("all-zero covariate rows must not be stored")
         object.__setattr__(self, "total", int(counts.sum()))
+        if self.total <= 0:
+            raise ValueError("table total must be positive")
 
     @property
     def rows(self) -> int:
@@ -200,34 +199,28 @@ def crosstab(covariate: CategoricalSeries, response: CategoricalSeries) -> Conti
 
 def column_margin_entropy(table: ContingencyTable) -> float:
     """Entropy of the response margin, H[Y], skipping empty columns."""
-    if table.total <= 0:
-        raise ValueError("table total must be positive")
     total = table.total
     return float(np.log(total) - xlogx_table(total)[table.col_margin].sum() / total)
 
 
 def conditional_entropy(table: ContingencyTable) -> float:
     """Row-weighted entropy of the within-row response distributions, H[Y|A]."""
-    if table.total <= 0:
-        raise ValueError("table total must be positive")
     return counts_ce(table.counts, xlogx_table(table.total))
 
 
 def mutual_information(table: ContingencyTable) -> float:
-    """I[Y;A] = H[Y] - H[Y|A], with tiny float negatives clamped to zero."""
+    """I[Y;A] = max(H[Y] - H[Y|A], 0)."""
     return entropy_report(table).mutual_info
 
 
 def entropy_report(table: ContingencyTable) -> EntropyReport:
+    """H[Y], H[Y|A] and I[Y;A] = max(H[Y] - H[Y|A], 0), the rule of every mimic's MI."""
     h_y = column_margin_entropy(table)
     h_cond = conditional_entropy(table)
-    mi = h_y - h_cond
-    if -MI_CLAMP < mi < 0.0:
-        mi = 0.0
     return EntropyReport(
         h_y=h_y,
         h_y_given_a=h_cond,
-        mutual_info=mi,
+        mutual_info=max(h_y - h_cond, 0.0),
         rows=table.rows,
         cols=table.cols,
     )

@@ -149,6 +149,11 @@ class TestQuantileBins:
         with pytest.raises(ValueError):
             quantile_bins(np.arange(100.0), 0)
 
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k_interior must be an integer"):
+            quantile_bins(np.arange(100.0), k)
+
     def test_too_few_values_rejected(self):
         with pytest.raises(ValueError):
             quantile_bins(np.arange(5.0), 10)

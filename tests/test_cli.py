@@ -6,7 +6,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -441,6 +444,56 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("config error: bad config value: categorize:")
         assert out == ""
+
+    def test_empty_categorize_item_is_skipped(self, capsys, ex4_csv):
+        common = ("measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2")
+        code, out, err = run(capsys, *common, "--categorize", "X1=quantile:5,,")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *common, "--categorize", "X1=quantile:5")[1]
+
+    def test_categorize_item_without_equals_is_exit_3(self, capsys, ex4_csv):
+        code, out, err = run(
+            capsys, "measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            "--categorize", "X1=quantile:5,X2",
+        )
+        assert (code, out) == (3, "")
+        assert err == "config error: bad categorization directive 'X2'\n"
+
+    @pytest.mark.parametrize("command", ["bins", "measure", "null", "grid", "select"])
+    def test_missing_input_is_exit_3(self, capsys, command):
+        code, out, err = run(capsys, command, "--response", "Y", "--covariates", "X1")
+        assert (code, out) == (3, "")
+        assert err == f"config error: {command} requires --input\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["null", "--response", "Y", "--covariates", "X1", "--replicates", "1000000000"],
+            ["simulate", "--example", "ex4", "--n", "10000000000"],
+        ],
+        ids=["null-replicates", "simulate-rows"],
+    )
+    def test_running_out_of_memory_is_exit_3(self, ex4_csv, argv):
+        """Each request asks for tens of GiB; the child's address space is capped at 2 GiB,
+        so a run that failed to stop cannot take the machine's memory."""
+        pytest.importorskip("resource")
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from ceda.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ceda.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        if argv[0] == "null":
+            argv = [*argv, "--input", ex4_csv]
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("config error: out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content",

@@ -239,6 +239,14 @@ class TestSyntheticNoiseSeries:
         with pytest.raises(ValueError, match="too few values"):
             synthetic_noise_series(11, 12, child_rng(12), 1)
 
+    def test_degenerate_draw_rejected(self):
+        class ConstantDraws:
+            def random(self, shape):
+                return np.full(shape, 0.5)
+
+        with pytest.raises(ValueError, match="degenerate feature"):
+            synthetic_noise_series(20, 12, ConstantDraws(), 2)
+
 
 class TestNullBand:
     def test_reproducible_under_fixed_seed(self):

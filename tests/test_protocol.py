@@ -12,6 +12,7 @@ import ceda.protocol
 from ceda.genlab import GeneratorSpec, sample
 from ceda.nullsim import NullBand
 from ceda.protocol import (
+    CANDIDATE_MARGIN,
     PAD_REPLICATES,
     REF_REPLICATES,
     ProtocolConfig,
@@ -326,7 +327,7 @@ class TestClassifySubset:
         band = NullBand("conditional_entropy", 100, mean=1.0, sd=0.05, q025=0.9, q975=1.1)
         monkeypatch.setattr(ev, "reference_band", lambda k: band)
         monkeypatch.setattr(ev, "ce", lambda subset: 0.5)
-        monkeypatch.setattr(ev, "padded_ce", lambda subset, k: 0.85)
+        monkeypatch.setattr(ev, "padded_ce_samples", lambda subset, k: np.array([0.85]))
         analysis = classify_subset(ev, ("X1", "X2"))
         # every drop is significant; the joint drop 0.5 against parts of 0.15
         # each gives a ratio of 5/3, between ECO_HIGH and r_int, and an excess
@@ -344,8 +345,12 @@ class TestSelectMajorFactors:
             (("X2", "X3"), 2, "order-2 major factor (interaction)"),
         ]
         assert report.chief_collection == ("X1",)
-        excluded = {s for s, _ in report.excluded}
-        assert ("X4",) in excluded
+        # X4 fails the order-1 gate: not confirmed, or not below the reference band
+        ev = additive_sine_evaluator
+        q025 = ev.reference_band(1).q025
+        assert ev.mi_verdict(("X4",)).status != "confirmed" or not (
+            ev.ce(("X4",)) < q025 - CANDIDATE_MARGIN
+        )
 
     def test_thread_count_does_not_change_report(self, additive_sine_setup):
         cov, y = additive_sine_setup
