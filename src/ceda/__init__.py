@@ -5,27 +5,40 @@ mimicry-based null distributions, and a major-factor selection
 protocol over covariate subsets.  The names below are the ones a typical
 analysis needs; everything else is imported from its submodule
 (``ceda.tabulate``, ``ceda.categorize``, ``ceda.nullsim``, ``ceda.genlab``,
-``ceda.protocol``).
+``ceda.protocol``).  Each name's submodule is imported on first use
+(PEP 562), so ``import ceda`` alone loads no numpy: the command line sets
+how numpy starts before it is loaded.
 """
 
-from ceda.tabulate import crosstab, entropy_report, mutual_information
-from ceda.categorize import apply_bins, product_categories, quantile_bins
-from ceda.nullsim import c1_test, null_band
-from ceda.genlab import GeneratorSpec, sample
-from ceda.protocol import ProtocolConfig, SubsetEvaluator, select_major_factors
+import importlib
 
-__all__ = [
-    "GeneratorSpec",
-    "ProtocolConfig",
-    "SubsetEvaluator",
-    "apply_bins",
-    "c1_test",
-    "crosstab",
-    "entropy_report",
-    "mutual_information",
-    "null_band",
-    "product_categories",
-    "quantile_bins",
-    "sample",
-    "select_major_factors",
-]
+# exported name -> the submodule that defines it
+_HOMES = {
+    "GeneratorSpec": "genlab",
+    "ProtocolConfig": "protocol",
+    "SubsetEvaluator": "protocol",
+    "apply_bins": "categorize",
+    "c1_test": "nullsim",
+    "crosstab": "tabulate",
+    "entropy_report": "tabulate",
+    "mutual_information": "tabulate",
+    "null_band": "nullsim",
+    "product_categories": "categorize",
+    "quantile_bins": "categorize",
+    "sample": "genlab",
+    "select_major_factors": "protocol",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"ceda.{_HOMES[name]}"), name)
+    if name in _HOMES.values():  # ``ceda.protocol`` after a bare ``import ceda``
+        return importlib.import_module(f"ceda.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

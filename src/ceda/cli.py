@@ -22,8 +22,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
+
+# OpenBLAS sizes its worker pool once, as numpy loads; a CLI run's only parallelism is --threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from ceda.protocol import (
     ProtocolConfig,
     SubsetEvaluator,
     build_ledger,
+    check_subset_budget,
     ledger_to_tsv,
     mi_grid,
     select_major_factors,
@@ -255,6 +260,10 @@ def _check_max_order(config: RunConfig):
             f"max-order {config.protocol.max_order} exceeds the number of covariates "
             f"({len(config.covariates)})"
         )
+    try:
+        check_subset_budget(len(config.covariates), config.protocol.max_order)
+    except ValueError as exc:
+        raise ConfigError(f"--max-order: {exc}") from None
 
 
 def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:

@@ -21,7 +21,6 @@ import itertools
 import math
 import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +76,10 @@ REF_REPLICATES = 100
 PAD_REPLICATES = 30
 # A subset whose full table would exceed this many cells is neither evaluated nor classified.
 CELL_BUDGET = 2_000_000
+# The most covariate subsets a ledger may list, refused before any subset is built. A
+# subset over CELL_BUDGET is listed without a table and still costs about 600 bytes and
+# 7 us (2**21 subsets: 1.2 GiB, 14 s, x86-64), so 10**7 need about 6 GB to list alone.
+SUBSET_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,24 @@ def enumerate_subsets(features, max_order: int) -> list[tuple]:
         raise ValueError("max_order must be >= 1")
     if max_order > len(features):
         raise ValueError("max_order exceeds the feature count")
+    check_subset_budget(len(features), max_order)
     out = []
     for k in range(1, max_order + 1):
         out.extend(itertools.combinations(features, k))
     return out
+
+
+def check_subset_budget(n_features: int, max_order: int):
+    """Raise ``ValueError`` when subsets of 1..max_order features would exceed ``SUBSET_BUDGET``.
+
+    The count, the sum of C(n_features, k) over k, is judged before any subset is built.
+    """
+    count = sum(math.comb(n_features, k) for k in range(1, max_order + 1))
+    if count > SUBSET_BUDGET:
+        raise ValueError(
+            f"{count} subsets of 1 to {max_order} of {n_features} features exceed "
+            f"the subset budget ({SUBSET_BUDGET})"
+        )
 
 
 class _OnceCache:
@@ -407,6 +424,8 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
 def _map(fn, items, threads: int) -> list:
     """``[fn(x) for x in items]``, spread over ``threads`` worker threads."""
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so one thread loads no pool code
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

@@ -38,6 +38,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped(argv):
+    """``ceda`` in a child process whose address space is capped at 2 GiB, so a run
+    that failed to stop an oversize request cannot take the machine's memory. The child
+    gets no ``OPENBLAS_NUM_THREADS``: BLAS threads are what the CLI itself sets."""
+    pytest.importorskip("resource")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from ceda.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ceda.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+
+
 @pytest.fixture()
 def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
@@ -474,26 +493,47 @@ class TestExitCodes:
         ids=["null-replicates", "simulate-rows"],
     )
     def test_running_out_of_memory_is_exit_3(self, ex4_csv, argv):
-        """Each request asks for tens of GiB; the child's address space is capped at 2 GiB,
-        so a run that failed to stop cannot take the machine's memory."""
-        pytest.importorskip("resource")
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-            "from ceda.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = os.path.dirname(os.path.dirname(ceda.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        """Each request asks for tens of GiB."""
         if argv[0] == "null":
             argv = [*argv, "--input", ex4_csv]
-        proc = subprocess.run(
-            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env,
-            timeout=300,
-        )
+        proc = run_capped(argv)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.startswith("config error: out of memory: Unable to allocate")
         assert proc.stderr.count("\n") == 1
+
+    def test_max_order_over_the_subset_budget_is_exit_3_before_the_input_is_read(self):
+        """40 covariates at order 20 would enumerate about 6e11 subsets; the count refuses them."""
+        covariates = ",".join(f"X{i}" for i in range(40))
+        proc = run_capped(
+            ["select", "--input", "/no/such/file.csv", "--response", "Y",
+             "--covariates", covariates, "--max-order", "20"]
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "config error: --max-order: 618679078297 subsets of 1 to 20 of 40 features "
+            f"exceed the subset budget ({ceda.protocol.SUBSET_BUDGET})\n"
+        )
+
+    def test_max_order_listing_131071_subsets_runs(self, tmp_path, capsys):
+        """17 covariates at order 17: every subset past the singletons is over the cell
+        budget, so the ledger lists 131 071 rows and evaluates 17 of them."""
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(600, 18))
+        path = tmp_path / "wide.csv"
+        names = [f"X{i}" for i in range(17)]
+        path.write_text(
+            ",".join([*names, "Y"]) + "\n"
+            + "".join(",".join(f"{v:.4f}" for v in row) + "\n" for row in data)
+        )
+        categorize = ",".join([*(f"{c}=quantile:500" for c in names), "Y=quantile:10"])
+        code, out, _ = run(
+            capsys, "select", "--input", str(path), "--response", "Y",
+            "--covariates", ",".join(names), "--categorize", categorize,
+            "--max-order", "17", "--replicates", "2",
+        )
+        orders = Counter(line.split("\t", 1)[0] for line in out.splitlines())
+        assert code == 0
+        assert [orders[str(k)] for k in range(1, 18)] == [math.comb(17, k) for k in range(1, 18)]
 
     @pytest.mark.parametrize(
         "content",

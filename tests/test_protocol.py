@@ -110,6 +110,27 @@ class TestEnumerateSubsets:
         with pytest.raises(ValueError):
             enumerate_subsets(["a"], 2)
 
+    @pytest.mark.parametrize("n, max_order", [(1, 1), (4, 4), (10, 2), (10, 6), (12, 11)])
+    def test_subset_budget_admits_exactly_the_count_listed(self, monkeypatch, n, max_order):
+        features = [f"X{i}" for i in range(n)]
+        count = len(enumerate_subsets(features, max_order))
+        monkeypatch.setattr(ceda.protocol, "SUBSET_BUDGET", count)
+        assert len(enumerate_subsets(features, max_order)) == count
+        monkeypatch.setattr(ceda.protocol, "SUBSET_BUDGET", count - 1)
+        with pytest.raises(ValueError, match=f"^{count} subsets of 1 to {max_order} of {n} "):
+            enumerate_subsets(features, max_order)
+
+    def test_subset_budget_boundary(self):
+        """Every subset of 23 features (8 388 607) is admitted; of 24 (16 777 215), refused."""
+        ceda.protocol.check_subset_budget(23, 23)
+        with pytest.raises(ValueError, match="^16777215 subsets of 1 to 24 of 24 features"):
+            ceda.protocol.check_subset_budget(24, 24)
+
+    def test_over_budget_count_refused_before_any_subset_is_built(self):
+        """40 features at order 20 would list about 6e11 tuples; the count alone refuses them."""
+        with pytest.raises(ValueError, match="618679078297 subsets of 1 to 20 of 40 features"):
+            enumerate_subsets([f"X{i}" for i in range(40)], 20)
+
 
 class TestBuildLedger:
     def test_singleton_conditional_entropy_level(self, additive_sine_setup):
