@@ -247,8 +247,6 @@ def build_run_config(args) -> RunConfig:
         protocol=protocol,
         out_format=settings.get("format", "tsv"),
     )
-    if "max_order" in settings and config.covariates:
-        _check_max_order(config)
     if not config.input_path and args.command != "simulate":
         raise ConfigError(f"{args.command} requires --input")
     return config
@@ -451,8 +449,16 @@ def _series_config(args) -> RunConfig:
         raise ConfigError("no response column named (use --response)")
     if not config.covariates:
         raise ConfigError("no covariate columns named (use --covariates)")
-    if len(config.response) > 1:
+    if len(config.response) > 1:  # fused by K-means, with k from the first column's directive
         _require_numeric(config, config.response)
+        first, *rest = config.response
+        if config.categorize.get(first, ("kmeans",))[0] != "kmeans" or any(
+            c in config.categorize for c in rest
+        ):
+            raise ConfigError(
+                f"response {','.join(config.response)}: a multi-column response takes one "
+                f"directive, kmeans:K, on its first column {first!r}"
+            )
     return config
 
 
@@ -589,18 +595,19 @@ def cmd_grid(args) -> int:
             {
                 "y_bins": c.y_bins,
                 "x_bins": c.x_bins,
-                "mi": c.report.mutual_info,
+                "mi": c.verdict.observed,
                 "status": c.verdict.status,
-                "band": c.band.to_json_dict(),
+                "band": c.verdict.band.to_json_dict(),
             }
             for c in cells
         ]
     }
     lines = ["y_bins\tx_bins\tmi\tq025\tq975\tstatus"]
     for c in cells:
+        v = c.verdict
         lines.append(
-            f"{c.y_bins}\t{c.x_bins}\t{c.report.mutual_info:.6f}\t"
-            f"{c.band.q025:.6f}\t{c.band.q975:.6f}\t{c.verdict.status}"
+            f"{c.y_bins}\t{c.x_bins}\t{v.observed:.6f}\t"
+            f"{v.band.q025:.6f}\t{v.band.q975:.6f}\t{v.status}"
         )
     _write_report(config, args.out, fields, lines)
     return 0

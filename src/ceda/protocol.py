@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ceda.tabulate import CategoricalSeries, conditional_entropy, crosstab, entropy_report
+from ceda.tabulate import CategoricalSeries, conditional_entropy, crosstab
 from ceda.categorize import fuse_features, product_categories
 from ceda.nullsim import (
     C1Verdict,
@@ -120,7 +120,11 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class SubsetLedgerEntry:
-    """One covariate subset's conditional-entropy bookkeeping; defaults leave it unevaluated."""
+    """One covariate subset's conditional-entropy bookkeeping; defaults leave it unevaluated.
+
+    ``c1`` is None exactly when the subset is unreliable: over ``CELL_BUDGET``
+    or sparser than the cell floor.
+    """
 
     subset: tuple
     order: int
@@ -130,7 +134,6 @@ class SubsetLedgerEntry:
     sce_star_drop: float | None = None
     table_rows: int = 0
     avg_cell: float = 0.0
-    reliable: bool = False
     c1: C1Verdict | None = None
     synthetic_noise: bool = False
 
@@ -397,9 +400,8 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
         # the best proper subset: the (k-1)-subset of lowest CE
         rest = min(itertools.combinations(subset, k - 1), key=evaluator.ce)
         sce = evaluator.ce(rest) - ce
-    reliable = table.avg_cell_count >= evaluator.config.cell_floor
     c1, sce_star, synthetic = None, None, False
-    if reliable:
+    if table.avg_cell_count >= evaluator.config.cell_floor:
         c1 = evaluator.mi_verdict(subset)
         if k >= 2:
             # effect of the member the best proper subset leaves out, at the
@@ -415,7 +417,6 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
         sce_star_drop=sce_star,
         table_rows=table.rows,
         avg_cell=table.avg_cell_count,
-        reliable=reliable,
         c1=c1,
         synthetic_noise=synthetic,
     )
@@ -435,7 +436,7 @@ def build_ledger(evaluator: SubsetEvaluator) -> list[SubsetLedgerEntry]:
     """Evaluate every subset up to ``config.max_order``; sorted by CE within each order.
 
     Subsets whose estimated table size exceeds the cell budget are listed
-    but marked unreliable rather than evaluated.
+    unevaluated, with no [C1] verdict.
     """
     config = evaluator.config
     subsets = enumerate_subsets(sorted(evaluator.covariates), config.max_order)
@@ -493,7 +494,8 @@ def _maximal_coexistent_sets(candidates, conflicts) -> list[tuple]:
 def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     """Assemble the major-factor report from singleton gates and pair analyses.
 
-    Order-1 candidates must clear the confirmability test and sit below the
+    Order-1 candidates are read from their ledger rows: a row must have a
+    confirmed [C1] verdict (so it is reliable) and a CE below the
     dimension-1 noise reference band.  Pairs classified as interactions
     become order-2 factors; non-coexistent pairs split the candidates into
     a chief collection (largest total drop) and alternative collections,
@@ -503,17 +505,15 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
     noise = set(config.noise_features)
     features = [f for f in sorted(evaluator.covariates) if f not in noise]
     pairs = list(itertools.combinations(features, 2)) if config.max_order >= 2 else []
-    verdicts = _map(lambda f: evaluator.mi_verdict((f,)), features, config.threads)
+    rows = _map(lambda f: _ledger_entry(evaluator, (f,)), features, config.threads)
     pair_analyses = _map(lambda p: classify_subset(evaluator, p), pairs, config.threads)
-    ref1 = evaluator.reference_band(1)
-
-    candidates = []
-    drops = {}
-    for f, verdict in zip(features, verdicts):
-        ce = evaluator.ce((f,))
-        drops[f] = ref1.mean - ce
-        if verdict.status == "confirmed" and ce < ref1.q025 - CANDIDATE_MARGIN:
-            candidates.append(f)
+    gate = evaluator.reference_band(1).q025 - CANDIDATE_MARGIN
+    drops = {
+        row.subset[0]: row.ce_drop
+        for row in rows
+        if row.c1 is not None and row.c1.status == "confirmed" and row.ce < gate
+    }
+    candidates = list(drops)
 
     conflicts = set()
     links: dict = {}
@@ -559,12 +559,10 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One (response bins, covariate bins) cell of the consistency grid."""
+    """One (response bins, covariate bins) cell of the consistency grid and its [C1] verdict."""
 
     y_bins: int
     x_bins: int
-    report: object
-    band: NullBand
     verdict: C1Verdict
 
 
@@ -597,8 +595,7 @@ def mi_grid(
     def cell(pair):
         ky, kx = pair
         table = crosstab(x_cat[kx], y_cat[ky])
-        verdict = mi_verdict(table, n_replicates, child_rng(seed, 2, ky, kx))
-        return GridCell(ky, kx, entropy_report(table), verdict.band, verdict)
+        return GridCell(ky, kx, mi_verdict(table, n_replicates, child_rng(seed, 2, ky, kx)))
 
     pairs = [(ky, kx) for ky in y_bins_ladder for kx in x_bins_ladder]
     return _map(cell, pairs, threads)

@@ -72,6 +72,11 @@ CASES = (
         "select-ex4-kmeans-threads2",
         (*SELECT_EX4, "--threads", "2", "--categorize", "X1=kmeans:102,X2=quantile:100"),
     ),
+    # X1's 102 x 12 table is sparser than the floor: its row reads unreliable, and it is no factor
+    Case(
+        "select-ex4-cell-floor",
+        (*SELECT_EX4, "--categorize", "X1=quantile:100", "--cell-floor", "2"),
+    ),
     Case("select-ex6-noise-json", (*SELECT_EX6, "--threads", "1", "--format", "json")),
     Case("select-ex6-noise-tsv-threads2", (*SELECT_EX6, "--threads", "2")),
     Case(

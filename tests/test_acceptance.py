@@ -160,7 +160,7 @@ def test_05_bivariate_dependence_grid():
     for example in ("ex3_halfsine", "ex3_fullsine"):
         sd = sample(GeneratorSpec(example, 20_000, seed=1))
         for c in _grid_cells(sd["Y"], sd["X"], ladder, seed=1):
-            ratio = c.report.mutual_info / c.band.q975
+            ratio = c.verdict.observed / c.verdict.band.q975
             min_ratio = min(min_ratio, ratio)
             if c.verdict.status != "confirmed" or ratio <= 5.0:
                 sine_ok = False
@@ -222,7 +222,7 @@ def test_07_fused_route_escapes_dimension_curse():
         SubsetEvaluator(cov, y, ProtocolConfig(max_order=3, seed=seed, replicates=300))
     )
     triplets = [e for e in ledger if e.order == 3]
-    direct_unreliable = bool(triplets) and all(not e.reliable for e in triplets)
+    direct_unreliable = bool(triplets) and all(e.c1 is None for e in triplets)
 
     yk = fuse_features(data["Y"], 12, seed=42, sort_centroids=True)
     block = np.column_stack([data["X2"], data["X3"], data["X4"]])
@@ -355,7 +355,7 @@ def test_09_property_suites():
     gy, gx = grid_rng.standard_normal(4000), grid_rng.standard_normal(4000)
     outputs = [
         [
-            (c.report.mutual_info, c.band.mean, c.band.q975, c.verdict.status)
+            (c.verdict.observed, c.verdict.band.mean, c.verdict.band.q975, c.verdict.status)
             for c in mi_grid(gy, gx, [6, 10], [6, 10], n_replicates=300, seed=5, threads=th)
         ]
         for th in (1, 2, 8)

@@ -326,7 +326,7 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
 
-    @pytest.mark.parametrize("command", ["select", "measure", "null"])
+    @pytest.mark.parametrize("command", ["select"])
     def test_max_order_above_covariate_count_is_exit_3(self, capsys, ex1_csv, command):
         code, out, err = run(
             capsys, command, "--max-order", "2", "--input", ex1_csv,
@@ -335,6 +335,24 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("config error:")
         assert out == ""
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["measure", "null", "grid", "bins"])
+    def test_max_order_is_read_by_select_alone(self, capsys, tmp_path, ex1_csv, command, given):
+        """Only ``select`` reads ``--max-order``: another subcommand with one covariate
+        runs as it does without it, given as a flag or by a shared config file."""
+        argv = [command, "--input", ex1_csv, "--response", "Y", "--covariates", "V1",
+                "--replicates", "50"]
+        if command == "grid":
+            argv += ["--y-ladder", "3", "--x-ladder", "2"]
+        if given == "flag":
+            setting = ["--max-order", "2"]
+        else:
+            (tmp_path / "shared.json").write_text('{"max_order": 2}')
+            setting = ["--config", str(tmp_path / "shared.json")]
+        code, out, err = run(capsys, *argv, *setting)
+        assert code == 0, err
+        assert out == run(capsys, *argv)[1]
 
     def test_select_default_max_order_above_covariate_count_is_exit_3(self, capsys, ex1_csv):
         code, _, err = run(
@@ -783,6 +801,11 @@ class TestExitCodes:
              "subset names unknown covariates ['NOPE']"),
             (["null", "--response", "Y,X1", "--covariates", "X2", "--categorize", "Y=categorical"],
              "K-means cannot cluster a categorical column"),
+            (["measure", "--response", "Y,X1", "--covariates", "X2",
+              "--categorize", "Y=quantile:3"],
+             "response Y,X1: a multi-column response takes one directive, kmeans:K, on its first"),
+            (["select", "--response", "Y,X1", "--covariates", "X2", "--categorize", "X1=kmeans:3"],
+             "response Y,X1: a multi-column response takes one directive"),
             (["select", "--response", "Y", "--covariates", "X1"], "max-order 2 exceeds"),
             (["select", "--response", "Y", "--covariates", "X1,X2", "--noise", "Z"],
              "noise features must be covariates"),
@@ -790,7 +813,8 @@ class TestExitCodes:
              "ladders must be comma-separated integers"),
             (["bins", "--replay"], "bad scheme for 'X1'"),
         ],
-        ids=["no-response", "no-covariates", "subsets", "multi-response", "max-order", "noise",
+        ids=["no-response", "no-covariates", "subsets", "multi-response", "response-quantile",
+             "response-second-directive", "max-order", "noise",
              "ladder", "replay"],
     )
     def test_settings_error_comes_before_the_input_is_read(self, capsys, tmp_path, argv, message):

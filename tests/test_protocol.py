@@ -184,7 +184,7 @@ class TestBuildLedger:
         cfg = ProtocolConfig(max_order=2, seed=1, replicates=200)
         ledger = build_ledger(SubsetEvaluator(cov, y, cfg))
         pairs = [e for e in ledger if e.order == 2]
-        assert pairs and all(not e.reliable for e in pairs)
+        assert pairs and all(e.c1 is None for e in pairs)
         assert all(np.isnan(e.ce) for e in pairs)
         for e in pairs:
             assert np.isnan(e.ce_drop) and np.isnan(e.sce_drop)
@@ -208,7 +208,7 @@ class TestBuildLedger:
     ):
         cov, y = additive_sine_setup
         ev = SubsetEvaluator(cov, y, ProtocolConfig(max_order=2, seed=1, replicates=200))
-        rows = [e for e in build_ledger(ev) if e.order == 2 and e.reliable]
+        rows = [e for e in build_ledger(ev) if e.order == 2 and e.c1 is not None]
         assert len(rows) == 6
         for e in rows:
             best = min(((f,) for f in e.subset), key=ev.ce)
@@ -406,6 +406,38 @@ class TestSelectMajorFactors:
         assert classes[("X1", "X6")] == "non_coexistent"
         assert classes[("X1", "X2")] == "ecological"
 
+    def test_singleton_over_the_cell_budget_is_neither_tabulated_nor_a_candidate(
+        self, monkeypatch
+    ):
+        """A copies the response, but 3e6 categories times 4 exceed the cell budget, so its
+        ledger row has no verdict; B, the same labels in 4 categories, is the chief."""
+        rng = np.random.default_rng(8)
+        labels = np.arange(200) % 4
+        cov = {
+            "A": CategoricalSeries(labels, 3_000_000),
+            "B": CategoricalSeries(labels, 4),
+            **{f"N{i}": CategoricalSeries(rng.integers(0, 4, 200), 4) for i in range(3)},
+        }
+        cfg = ProtocolConfig(max_order=1, replicates=20, seed=1, noise_features=("N0", "N1", "N2"))
+        ev = SubsetEvaluator(cov, CategoricalSeries(labels, 4), cfg)
+        asked = []
+        table = ev.table
+        monkeypatch.setattr(ev, "table", lambda s: asked.append(tuple(sorted(s))) or table(s))
+        report = select_major_factors(ev)
+        assert report.chief_collection == ("B",)
+        assert report.confirmed == [(("B",), 1, "order-1 major factor")]
+        assert ("B",) in asked and ("A",) not in asked
+
+    def test_cell_floor_that_leaves_no_singleton_a_verdict_confirms_nothing(
+        self, additive_sine_setup
+    ):
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, replicates=50, cell_floor=1000.0))
+        assert all(e.c1 is None for e in build_ledger(ev))
+        report = select_major_factors(ev)
+        assert report.chief_collection == ()
+        assert report.confirmed == []
+
 
 class TestMaximalCoexistentSets:
     def test_sets_and_their_order_on_a_small_conflict_graph(self):
@@ -460,7 +492,7 @@ class TestMiGrid:
         data = sample(GeneratorSpec("ex3_rho", 20_000, seed=1))
         cells = mi_grid(data["Y"], data["X"], [12], [12], n_replicates=500, seed=1)
         assert len(cells) == 1
-        assert cells[0].report.mutual_info == pytest.approx(0.1478, abs=0.02)
+        assert cells[0].verdict.observed == pytest.approx(0.1478, abs=0.02)
         assert cells[0].verdict.status == "confirmed"
 
     def test_empty_ladder_rejected(self):
@@ -474,7 +506,7 @@ class TestMiGrid:
         assert first == second
         assert first != mi_grid(y, x, [3], [4], n_replicates=20, seed=3)
         assert hash(first[0]) == hash(second[0])
-        assert len({first[0].band, second[0].band}) == 1
+        assert len({first[0].verdict.band, second[0].verdict.band}) == 1
 
     def test_grid_shape_and_ordering(self):
         rng = np.random.default_rng(22)
@@ -491,8 +523,8 @@ class TestMiGrid:
         one = mi_grid(y, x, *ladders, n_replicates=200, seed=3, threads=1)
         many = mi_grid(y, x, *ladders, n_replicates=200, seed=3, threads=8)
         assert [
-            (c.report.mutual_info, c.band.mean, c.verdict.status) for c in one
-        ] == [(c.report.mutual_info, c.band.mean, c.verdict.status) for c in many]
+            (c.verdict.observed, c.verdict.band.mean, c.verdict.status) for c in one
+        ] == [(c.verdict.observed, c.verdict.band.mean, c.verdict.status) for c in many]
 
 
 class TestSharedEvaluator:
