@@ -94,6 +94,11 @@ class RunConfig:
         """The column's ``(method, k)``: ``("quantile", 10)`` unless it has its own."""
         return self.categorize.get(col, ("quantile", 10))
 
+    def directive_text(self, col: str) -> str:
+        """The column's directive as typed: ``categorical`` or ``METHOD:K``."""
+        method, k = self.directive(col)
+        return method if method == "categorical" else f"{method}:{k}"
+
     def digest(self) -> str:
         protocol = {n: getattr(self.protocol, n) for n in _PROTOCOL_FIELDS if n != "threads"}
         blob = json.dumps(
@@ -510,6 +515,8 @@ def cmd_bins(args) -> int:
     for c in targets:
         method, k = config.directive(c)
         if method != "quantile":
+            # stdout and exit 0 stay as they are, so a config file shared with select still works
+            _log(f"bins: skipped {c!r}: its directive {config.directive_text(c)} is not quantile")
             continue
         out[c] = _quantile_scheme(c, data[c], k).to_json_dict()
     _emit(json.dumps(out, indent=2) + "\n", args.out)
@@ -571,6 +578,12 @@ def cmd_grid(args) -> int:
     if len(config.response) != 1 or len(config.covariates) != 1:
         raise ConfigError("grid needs exactly one response and one covariate column")
     _require_numeric(config, config.response + config.covariates)
+    for c in config.response + config.covariates:
+        if c in config.categorize:
+            raise ConfigError(
+                f"grid clusters {c!r} by K-means at each ladder value, so its directive "
+                f"{config.directive_text(c)} would be ignored (drop it from --categorize)"
+            )
     try:
         y_ladder = [int(v) for v in args.y_ladder.split(",")]
         x_ladder = [int(v) for v in args.x_ladder.split(",")]

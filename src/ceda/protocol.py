@@ -197,7 +197,7 @@ class _OnceCache:
     A thread that finds an entry being computed waits for it instead of
     computing it again.  Each key has its own lock, so different keys are
     computed concurrently; an entry only ever waits on entries of a kind
-    further down the order noise/verdict -> ce -> table, so the locks cannot
+    further down the order noise/verdict -> ce, so the locks cannot
     deadlock.  A computation that raises leaves its entry empty.
     """
 
@@ -218,16 +218,26 @@ class _OnceCache:
         return entry[1]
 
 
+@dataclass(frozen=True)
+class TableSummary:
+    """What a ledger row reads from a subset's table: its CE, occupied rows and mean cell count."""
+
+    ce: float
+    rows: int
+    avg_cell: float
+
+
 class SubsetEvaluator:
     """One run's categorized data, its config, and everything derived from them.
 
-    Tables, conditional entropies, C1 verdicts and noise levels depend only
-    on the data, the config and keyed seeds, so each is computed once and
-    memoised under ``(kind, key)``.  A subset is a feature set: every method
-    sorts the subset it is given before using it as a memo key, a stream tag
-    or a fusion order, so the order it is named in changes nothing.  A
-    subset's fused labels are not kept: they are built for its table and
-    counted away.  Safe to share between threads.
+    Table summaries, C1 verdicts and noise levels depend only on the data,
+    the config and keyed seeds, so each is computed once and memoised under
+    ``(kind, key)``.  Tables are not memoised: ``table`` builds one on every
+    call, and no table outlives the call that built it, so a run's memory
+    does not grow with the tables of the subsets it evaluates.  A subset is
+    a feature set: every method sorts the subset it is given before using it
+    as a memo key, a stream tag or a fusion order, so the order it is named
+    in changes nothing.  Safe to share between threads.
     """
 
     def __init__(self, covariates: dict, response: CategoricalSeries, config: ProtocolConfig):
@@ -238,18 +248,22 @@ class SubsetEvaluator:
         self._memo = _OnceCache()
 
     def table(self, subset: tuple):
+        """The subset's fused labels against the response, tabulated anew on every call."""
+        series = [self.covariates[f] for f in sorted(subset)]
+        fused = series[0] if len(series) == 1 else product_categories(series)
+        return crosstab(fused, self.response)
+
+    def summary(self, subset: tuple) -> TableSummary:
         subset = tuple(sorted(subset))
 
         def compute():
-            series = [self.covariates[f] for f in subset]
-            fused = series[0] if len(series) == 1 else product_categories(series)
-            return crosstab(fused, self.response)
+            table = self.table(subset)
+            return TableSummary(conditional_entropy(table), table.rows, table.avg_cell_count)
 
-        return self._memo.get(("table", subset), compute)
+        return self._memo.get(("ce", subset), compute)
 
     def ce(self, subset: tuple) -> float:
-        subset = tuple(sorted(subset))
-        return self._memo.get(("ce", subset), lambda: conditional_entropy(self.table(subset)))
+        return self.summary(subset).ce
 
     def mi_verdict(self, subset: tuple) -> C1Verdict:
         """[C1] verdict on I[Y; subset] against its mimic null band."""
@@ -349,7 +363,7 @@ def classify_subset(evaluator: SubsetEvaluator, subset: tuple) -> PairAnalysis:
     config = evaluator.config
     k = len(subset)
     ref = evaluator.reference_band(k)
-    if _over_budget(evaluator, subset) or evaluator.table(subset).avg_cell_count < config.cell_floor:
+    if _over_budget(evaluator, subset) or evaluator.summary(subset).avg_cell < config.cell_floor:
         return PairAnalysis(pair=subset)
     ce_joint = evaluator.ce(subset)
     joint_drop = ref.mean - ce_joint
@@ -392,8 +406,8 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
     k = len(subset)
     if _over_budget(evaluator, subset):
         return SubsetLedgerEntry(subset, k)
-    table = evaluator.table(subset)
-    ce = evaluator.ce(subset)
+    summary = evaluator.summary(subset)
+    ce = summary.ce
     ce_drop = evaluator.reference_band(k).mean - ce
     sce = ce_drop
     if k >= 2:
@@ -401,7 +415,7 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
         rest = min(itertools.combinations(subset, k - 1), key=evaluator.ce)
         sce = evaluator.ce(rest) - ce
     c1, sce_star, synthetic = None, None, False
-    if table.avg_cell_count >= evaluator.config.cell_floor:
+    if summary.avg_cell >= evaluator.config.cell_floor:
         c1 = evaluator.mi_verdict(subset)
         if k >= 2:
             # effect of the member the best proper subset leaves out, at the
@@ -415,8 +429,8 @@ def _ledger_entry(evaluator: SubsetEvaluator, subset: tuple) -> SubsetLedgerEntr
         ce_drop=ce_drop,
         sce_drop=sce,
         sce_star_drop=sce_star,
-        table_rows=table.rows,
-        avg_cell=table.avg_cell_count,
+        table_rows=summary.rows,
+        avg_cell=summary.avg_cell,
         c1=c1,
         synthetic_noise=synthetic,
     )

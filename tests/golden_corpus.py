@@ -79,6 +79,8 @@ CASES = (
     ),
     Case("select-ex6-noise-json", (*SELECT_EX6, "--threads", "1", "--format", "json")),
     Case("select-ex6-noise-tsv-threads2", (*SELECT_EX6, "--threads", "2")),
+    # order-3 noise levels read the CE of each subset plus its designated noise combos
+    Case("select-ex6-noise-order3", (*SELECT_EX6, "--max-order", "3", "--replicates", "50")),
     Case(
         "grid-ex3",
         ("grid", "--input", "ex3.csv", "--response", "Y", "--covariates", "X",

@@ -1049,6 +1049,16 @@ class TestBinsCommand:
         expected = apply_bins(data["Y"], quantile_bins(data["Y"], 10)).labels
         assert labels == expected.tolist()
 
+    def test_each_skipped_column_is_named_on_stderr(self, capsys, ex1_csv):
+        argv = ("bins", "--input", ex1_csv, "--response", "Y")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--covariates", "V1", "--categorize", "V1=kmeans:4")
+        assert code == 0
+        assert err == "bins: skipped 'V1': its directive kmeans:4 is not quantile\n"
+        schemes = json.loads(out)
+        assert "V1" not in schemes and schemes["Y"] == json.loads(plain)["Y"]
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -1182,6 +1192,20 @@ class TestGridCommand:
         assert code == 3
         assert err.startswith("config error: ladder values")
 
+    @pytest.mark.parametrize("directive", ["Y=quantile:3", "X=kmeans:4"])
+    def test_directive_grid_would_ignore_is_exit_3_before_reading(
+        self, capsys, tmp_path, directive
+    ):
+        column, spec = directive.split("=")
+        code, out, err = run(
+            capsys, "grid", "--input", str(tmp_path / "missing.csv"), "--response", "Y",
+            "--covariates", "X", "--categorize", directive,
+        )
+        assert code == 3
+        assert err.startswith(f"config error: grid clusters {column!r} by K-means")
+        assert spec in err and err.count("\n") == 1
+        assert out == ""
+
 
 @pytest.fixture(scope="module")
 def ex4_csv(tmp_path_factory):
@@ -1265,11 +1289,11 @@ class TestSelectCommand:
         assert len(calls) == len(reliable)
 
     def test_each_conditional_entropy_is_computed_once(self, capsys, ex4_csv, monkeypatch):
-        calls = Counter()
+        calls = []
         original = ceda.protocol.conditional_entropy
 
         def counting(table):
-            calls[id(table)] += 1  # the evaluator keeps each table, so ids stay distinct
+            calls.append(table.rows)
             return original(table)
 
         monkeypatch.setattr(ceda.protocol, "conditional_entropy", counting)
@@ -1279,10 +1303,9 @@ class TestSelectCommand:
             "--replicates", "20", "--threads", "2",
         )
         assert code == 0
-        # the ledger's ten subsets, read again by noise levels and selection; X4's
-        # padding by X3 reads the ledger's own (X3, X4) table
+        # one call for each of the ledger's ten subsets, read again by noise levels and
+        # selection; X4's padding by X3 reads the ledger's own (X3, X4) entry
         assert len(calls) == 10
-        assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize(
