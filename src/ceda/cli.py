@@ -43,7 +43,6 @@ from ceda.protocol import (
     SubsetEvaluator,
     build_ledger,
     check_subset_budget,
-    ledger_to_tsv,
     mi_grid,
     select_major_factors,
 )
@@ -430,6 +429,21 @@ def _provenance(config: RunConfig) -> dict:
     return {"config_digest": config.digest(), "seed": config.protocol.seed}
 
 
+def ledger_to_tsv(entries) -> str:
+    lines = [
+        "order\tsubset\tce\tce_drop\tsce_drop\tsce_star_drop\trows\tavg_cell\tc1_status"
+    ]
+    for e in entries:
+        star = "" if e.sce_star_drop is None else f"{e.sce_star_drop:.6f}"
+        status = "unreliable" if e.c1 is None else e.c1.status
+        lines.append(
+            f"{e.order}\t{'_'.join(str(f) for f in e.subset)}\t{e.ce:.6f}\t"
+            f"{e.ce_drop:.6f}\t{e.sce_drop:.6f}\t{star}\t{e.table_rows}\t"
+            f"{e.avg_cell:.4f}\t{status}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _write_report(config: RunConfig, out_path: str | None, fields: dict, tsv_lines: list):
     """Write a report in the configured format, headed by the run's provenance.
 
@@ -545,11 +559,9 @@ def cmd_null(args) -> int:
     config = _series_config(args)
     subsets = _parse_subsets(args.subsets, config)
     evaluator = _load(config)
-    rows = []
-    for subset in subsets:
-        verdict = evaluator.mi_verdict(subset)
-        rows.append((subset, verdict))
-        _log(f"null {'+'.join(subset)}: {verdict.status}")
+    rows = list(zip(subsets, evaluator.mi_verdicts(subsets)))
+    for s, v in rows:
+        _log(f"null {'+'.join(s)}: {v.status}")
     fields = {
         "verdicts": [
             {
@@ -594,15 +606,8 @@ def cmd_grid(args) -> int:
     bad = [k for k in y_ladder + x_ladder if not 1 <= k <= n]
     if bad:
         raise ConfigError(f"ladder values must lie in 1..{n} (the row count): {bad}")
-    cells = mi_grid(
-        data[config.response[0]],
-        data[config.covariates[0]],
-        y_ladder,
-        x_ladder,
-        n_replicates=config.protocol.replicates,
-        seed=config.protocol.seed,
-        threads=config.protocol.threads,
-    )
+    y, x = data[config.response[0]], data[config.covariates[0]]
+    cells = mi_grid(y, x, y_ladder, x_ladder, config.protocol)
     fields = {
         "cells": [
             {

@@ -42,6 +42,7 @@ from ceda.tabulate import (
 __all__ = [
     "C1Verdict",
     "NullBand",
+    "band_from_samples",
     "c1_test",
     "child_rng",
     "mi_verdict",
@@ -163,28 +164,17 @@ def mimic_ce_samples(
     return np.maximum(ce, 0.0)
 
 
-def null_band(
-    table: ContingencyTable,
-    statistic: str,
-    n_replicates: int,
-    rng: np.random.Generator,
-) -> NullBand:
-    """Null band of a statistic over independent mimics of the table.
+def null_band(table: ContingencyTable, n_replicates: int, rng: np.random.Generator) -> NullBand:
+    """Null band of I[Y; A] over ``n_replicates`` independent mimics of the table.
 
-    ``statistic`` is "mutual_information" or "conditional_entropy";
-    percentiles use linear interpolation.  Fewer than ~1000 replicates
-    give unstable tail percentiles.
+    Each mimic's MI is clamped at zero like the observed one.  Fewer than
+    ~1000 replicates give unstable tail percentiles.
     """
-    if statistic not in ("mutual_information", "conditional_entropy"):
-        raise ValueError(f"unknown statistic {statistic!r}")
     if n_replicates < 2:
         raise ValueError("need at least 2 replicates")
     ce = mimic_ce_samples(table, n_replicates, rng)
-    if statistic == "conditional_entropy":
-        samples = ce
-    else:
-        samples = np.maximum(column_margin_entropy(table) - ce, 0.0)
-    return band_from_samples(statistic, samples)
+    samples = np.maximum(column_margin_entropy(table) - ce, 0.0)
+    return band_from_samples("mutual_information", samples)
 
 
 def c1_test(observed: float, band: NullBand) -> C1Verdict:
@@ -208,7 +198,7 @@ def c1_test(observed: float, band: NullBand) -> C1Verdict:
 
 def mi_verdict(table: ContingencyTable, n_replicates: int, rng: np.random.Generator) -> C1Verdict:
     """The [C1] test: the table's I[Y; A] against its mimic null band from ``rng``."""
-    band = null_band(table, "mutual_information", n_replicates, rng)
+    band = null_band(table, n_replicates, rng)
     return c1_test(mutual_information(table), band)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "build_ledger",
     "classify_subset",
     "enumerate_subsets",
-    "ledger_to_tsv",
     "mi_grid",
     "sce_star_drop",
     "select_major_factors",
@@ -276,6 +275,10 @@ class SubsetEvaluator:
             ),
         )
 
+    def mi_verdicts(self, subsets) -> list[C1Verdict]:
+        """``mi_verdict`` of each subset, in order, spread over ``config.threads``."""
+        return _map(self.mi_verdict, subsets, self.config.threads)
+
     def reference_band(self, k: int) -> NullBand:
         """Band of H[Y | k noise features]: the empty subset's noise level."""
         return self._noise_level((), k)[1]
@@ -459,21 +462,6 @@ def build_ledger(evaluator: SubsetEvaluator) -> list[SubsetLedgerEntry]:
     return entries
 
 
-def ledger_to_tsv(entries) -> str:
-    lines = [
-        "order\tsubset\tce\tce_drop\tsce_drop\tsce_star_drop\trows\tavg_cell\tc1_status"
-    ]
-    for e in entries:
-        star = "" if e.sce_star_drop is None else f"{e.sce_star_drop:.6f}"
-        status = "unreliable" if e.c1 is None else e.c1.status
-        lines.append(
-            f"{e.order}\t{'_'.join(str(f) for f in e.subset)}\t{e.ce:.6f}\t"
-            f"{e.ce_drop:.6f}\t{e.sce_drop:.6f}\t{star}\t{e.table_rows}\t"
-            f"{e.avg_cell:.4f}\t{status}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _maximal_coexistent_sets(candidates, conflicts) -> list[tuple]:
     """All maximal candidate subsets containing no conflicting pair.
 
@@ -581,24 +569,20 @@ class GridCell:
 
 
 def mi_grid(
-    y_values,
-    x_values,
-    y_bins_ladder,
-    x_bins_ladder,
-    n_replicates: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
+    y_values, x_values, y_bins_ladder, x_bins_ladder, config: ProtocolConfig
 ) -> list[GridCell]:
     """Mutual information and its null band over a ladder of K-means categorizations.
 
     Consistent confirmation across cells is the inference the grid supports;
-    each cell's clustering and null stream derive deterministically from the
-    seed, so the grid is reproducible at any thread count.
+    each cell's clustering and null stream derive deterministically from
+    ``config.seed``, and its band draws ``config.replicates`` mimics, so the
+    grid is reproducible at any ``config.threads``.
     """
     y_bins_ladder = list(y_bins_ladder)
     x_bins_ladder = list(x_bins_ladder)
     if not y_bins_ladder or not x_bins_ladder:
         raise ValueError("empty bin ladder")
+    seed = config.seed
     y_cat = {
         ky: fuse_features(y_values, ky, seed=seed * 1009 + ky) for ky in y_bins_ladder
     }
@@ -609,7 +593,7 @@ def mi_grid(
     def cell(pair):
         ky, kx = pair
         table = crosstab(x_cat[kx], y_cat[ky])
-        return GridCell(ky, kx, mi_verdict(table, n_replicates, child_rng(seed, 2, ky, kx)))
+        return GridCell(ky, kx, mi_verdict(table, config.replicates, child_rng(seed, 2, ky, kx)))
 
     pairs = [(ky, kx) for ky in y_bins_ladder for kx in x_bins_ladder]
-    return _map(cell, pairs, threads)
+    return _map(cell, pairs, config.threads)

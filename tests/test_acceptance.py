@@ -16,6 +16,7 @@ from ceda.nullsim import (
     band_from_samples,
     c1_test,
     child_rng,
+    mimic_ce_samples,
     null_band,
 )
 from ceda.protocol import (
@@ -72,7 +73,7 @@ def test_02_two_normal_mutual_information():
             t = crosstab(v1, binned(data["Y"], k))
             mi = mutual_information(t)
             mis.append(mi)
-            band = null_band(t, "mutual_information", 1000, child_rng(seed, k))
+            band = null_band(t, 1000, child_rng(seed, k))
             if c1_test(mi, band).status != "confirmed":
                 all_confirmed = False
     mean_mi = float(np.mean(mis))
@@ -114,7 +115,7 @@ def _mixture_confirmations(mu, seed):
     for k in (12, 22, 32, 102):
         y = fuse_features(pts, k, seed=seed)
         t = crosstab(v1, y)
-        band = null_band(t, "mutual_information", 1000, child_rng(seed, k))
+        band = null_band(t, 1000, child_rng(seed, k))
         out.append(c1_test(mutual_information(t), band).status == "confirmed")
     return out
 
@@ -137,7 +138,7 @@ def test_04_mixture_discrimination():
 
 
 def _grid_cells(y, x, ladder, seed, replicates=1000):
-    return mi_grid(y, x, ladder, ladder, n_replicates=replicates, seed=seed)
+    return mi_grid(y, x, ladder, ladder, ProtocolConfig(replicates=replicates, seed=seed))
 
 
 @pytest.mark.slow
@@ -231,7 +232,9 @@ def test_07_fused_route_escapes_dimension_curse():
     for k in (12, 36, 72, 144):
         fused = fuse_features(block, k, seed=7)
         t = crosstab(fused, yk)
-        band = null_band(t, "conditional_entropy", 100, child_rng(seed, k))
+        band = band_from_samples(
+            "conditional_entropy", mimic_ce_samples(t, 100, child_rng(seed, k))
+        )
         v = c1_test(conditional_entropy(t), band)
         below_all = below_all and v.observed < band.q025
         magnitudes.append(abs(v.excess_sd))
@@ -346,7 +349,7 @@ def test_09_property_suites():
         a = CategoricalSeries(labels=trial_rng.integers(0, 12, 2000), cardinality=12)
         y = CategoricalSeries(labels=trial_rng.integers(0, 12, 2000), cardinality=12)
         t = crosstab(a, y)
-        band = null_band(t, "mutual_information", 1000, child_rng(93, s))
+        band = null_band(t, 1000, child_rng(93, s))
         if c1_test(mutual_information(t), band).status == "confirmed":
             false_confirms += 1
     false_rate = false_confirms / trials
@@ -356,7 +359,9 @@ def test_09_property_suites():
     outputs = [
         [
             (c.verdict.observed, c.verdict.band.mean, c.verdict.band.q975, c.verdict.status)
-            for c in mi_grid(gy, gx, [6, 10], [6, 10], n_replicates=300, seed=5, threads=th)
+            for c in mi_grid(
+                gy, gx, [6, 10], [6, 10], ProtocolConfig(replicates=300, seed=5, threads=th)
+            )
         ]
         for th in (1, 2, 8)
     ]

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -969,6 +970,28 @@ class TestNullCommand:
                 "excess_sd": verdict.excess_sd,
                 "band": verdict.band.to_json_dict(),
             }
+
+    def test_verdicts_spread_over_threads_without_changing_output(
+        self, capsys, ex4_csv, monkeypatch
+    ):
+        on_main = []
+        original = ceda.protocol.mi_verdict
+
+        def recording(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return original(*args)
+
+        monkeypatch.setattr(ceda.protocol, "mi_verdict", recording)
+        argv = ("null", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2,X3,X4",
+                "--subsets", "X1,X2,X3,X4", "--replicates", "50", "--seed", "1")
+        outputs = {}
+        for threads in ("1", "2"):
+            on_main.clear()
+            code, out, err = run(capsys, *argv, "--threads", threads)
+            assert code == 0
+            outputs[threads] = (out, err)
+        assert len(on_main) == 4 and not all(on_main)
+        assert outputs["2"] == outputs["1"]
 
     def test_json_writes_an_unbounded_excess_as_null(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

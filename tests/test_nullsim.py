@@ -251,24 +251,19 @@ class TestSyntheticNoiseSeries:
 class TestNullBand:
     def test_reproducible_under_fixed_seed(self):
         t = ContingencyTable([[30, 10], [10, 30]])
-        a = null_band(t, "mutual_information", 500, child_rng(6))
-        b = null_band(t, "mutual_information", 500, child_rng(6))
+        a = null_band(t, 500, child_rng(6))
+        b = null_band(t, 500, child_rng(6))
         assert (a.mean, a.sd, a.q025, a.q975) == (b.mean, b.sd, b.q025, b.q975)
 
     def test_small_balanced_table_band(self):
         t = ContingencyTable([[5, 5], [5, 5]])
-        band = null_band(t, "mutual_information", 1000, child_rng(7))
+        band = null_band(t, 1000, child_rng(7))
         assert 0.0 < band.q975 < 0.5
-
-    def test_unknown_statistic_rejected(self):
-        t = ContingencyTable([[5, 5]])
-        with pytest.raises(ValueError):
-            null_band(t, "chi_squared", 100, child_rng(0))
 
     def test_fewer_than_two_replicates_rejected(self):
         t = ContingencyTable([[5, 5], [5, 5]])
         with pytest.raises(ValueError, match="at least 2 replicates"):
-            null_band(t, "mutual_information", 1, child_rng(0))
+            null_band(t, 1, child_rng(0))
 
     def test_band_invariants(self):
         with pytest.raises(ValueError):
@@ -281,7 +276,7 @@ class TestNullBand:
         # mutual information is a narrow sliver above zero
         v1 = CategoricalSeries(labels=two_normal_data["V1"], cardinality=2)
         t = crosstab(v1, binned(two_normal_data["Y"], 10))
-        band = null_band(t, "mutual_information", 1000, child_rng(8))
+        band = null_band(t, 1000, child_rng(8))
         assert 5e-05 <= band.q025 <= 0.00025
         assert 0.0003 <= band.q975 <= 0.0006
 
@@ -291,7 +286,7 @@ class TestNullBand:
         data = sample(GeneratorSpec("ex1", 2000, seed=1))
         v1 = CategoricalSeries(labels=data["V1"], cardinality=2)
         t = crosstab(v1, binned(data["Y"], 1000))
-        band = null_band(t, "mutual_information", 1000, child_rng(9))
+        band = null_band(t, 1000, child_rng(9))
         assert band.mean == pytest.approx(0.266, abs=0.012)
         assert band.q025 <= 0.264 and band.q975 >= 0.268
 
@@ -300,7 +295,7 @@ class TestC1Test:
     def test_strong_signal_confirmed(self, two_normal_data):
         v1 = CategoricalSeries(labels=two_normal_data["V1"], cardinality=2)
         t = crosstab(v1, binned(two_normal_data["Y"], 10))
-        band = null_band(t, "mutual_information", 1000, child_rng(10))
+        band = null_band(t, 1000, child_rng(10))
         verdict = c1_test(mutual_information(t), band)
         assert verdict.status == "confirmed"
         assert verdict.excess_sd > 10
@@ -312,7 +307,7 @@ class TestC1Test:
         t = ContingencyTable(counts)
         rng, oracle_rng = child_rng(4, 2), child_rng(4, 2)
         verdict = mi_verdict(t, 300, rng)
-        band = null_band(t, "mutual_information", 300, oracle_rng)
+        band = null_band(t, 300, oracle_rng)
         assert verdict == c1_test(mutual_information(t), band)
         assert repr(rng.bit_generator.state) == repr(oracle_rng.bit_generator.state)
 

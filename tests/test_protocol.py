@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ceda.protocol
+from ceda.cli import ledger_to_tsv
 from ceda.genlab import GeneratorSpec, sample
 from ceda.nullsim import NullBand
 from ceda.protocol import (
@@ -22,7 +23,6 @@ from ceda.protocol import (
     build_ledger,
     classify_subset,
     enumerate_subsets,
-    ledger_to_tsv,
     mi_grid,
     sce_star_drop,
     select_major_factors,
@@ -491,28 +491,30 @@ def test_maximal_coexistent_sets_match_the_combination_scan(graph):
 class TestMiGrid:
     def test_mid_correlation_cell_level_and_verdict(self):
         data = sample(GeneratorSpec("ex3_rho", 20_000, seed=1))
-        cells = mi_grid(data["Y"], data["X"], [12], [12], n_replicates=500, seed=1)
+        cells = mi_grid(data["Y"], data["X"], [12], [12], ProtocolConfig(replicates=500, seed=1))
         assert len(cells) == 1
         assert cells[0].verdict.observed == pytest.approx(0.1478, abs=0.02)
         assert cells[0].verdict.status == "confirmed"
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError):
-            mi_grid(np.arange(100.0), np.arange(100.0), [], [12])
+            mi_grid(np.arange(100.0), np.arange(100.0), [], [12], ProtocolConfig())
 
     def test_cells_bands_and_verdicts_compare_and_hash_by_value(self):
         rng = np.random.default_rng(21)
         y, x = rng.standard_normal(300), rng.standard_normal(300)
-        first, second = (mi_grid(y, x, [3], [4], n_replicates=20, seed=2) for _ in range(2))
+        first, second = (
+            mi_grid(y, x, [3], [4], ProtocolConfig(replicates=20, seed=2)) for _ in range(2)
+        )
         assert first == second
-        assert first != mi_grid(y, x, [3], [4], n_replicates=20, seed=3)
+        assert first != mi_grid(y, x, [3], [4], ProtocolConfig(replicates=20, seed=3))
         assert hash(first[0]) == hash(second[0])
         assert len({first[0].verdict.band, second[0].verdict.band}) == 1
 
     def test_grid_shape_and_ordering(self):
         rng = np.random.default_rng(22)
         y, x = rng.standard_normal(2000), rng.standard_normal(2000)
-        cells = mi_grid(y, x, [4, 6], [3, 5], n_replicates=100, seed=2)
+        cells = mi_grid(y, x, [4, 6], [3, 5], ProtocolConfig(replicates=100, seed=2))
         assert [(c.y_bins, c.x_bins) for c in cells] == [
             (4, 3), (4, 5), (6, 3), (6, 5)
         ]
@@ -521,8 +523,8 @@ class TestMiGrid:
         rng = np.random.default_rng(23)
         y, x = rng.standard_normal(3000), rng.standard_normal(3000)
         ladders = ([6, 10], [6, 10])
-        one = mi_grid(y, x, *ladders, n_replicates=200, seed=3, threads=1)
-        many = mi_grid(y, x, *ladders, n_replicates=200, seed=3, threads=8)
+        one = mi_grid(y, x, *ladders, ProtocolConfig(replicates=200, seed=3, threads=1))
+        many = mi_grid(y, x, *ladders, ProtocolConfig(replicates=200, seed=3, threads=8))
         assert [
             (c.verdict.observed, c.verdict.band.mean, c.verdict.status) for c in one
         ] == [(c.verdict.observed, c.verdict.band.mean, c.verdict.status) for c in many]
