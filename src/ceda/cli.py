@@ -42,6 +42,7 @@ from ceda.protocol import (
     ProtocolConfig,
     SubsetEvaluator,
     build_ledger,
+    check_noise_features,
     check_subset_budget,
     mi_grid,
     select_major_factors,
@@ -256,21 +257,10 @@ def build_run_config(args) -> RunConfig:
     return config
 
 
-def _check_max_order(config: RunConfig):
-    if config.protocol.max_order > len(config.covariates):
-        raise ConfigError(
-            f"max-order {config.protocol.max_order} exceeds the number of covariates "
-            f"({len(config.covariates)})"
-        )
-    try:
-        check_subset_budget(len(config.covariates), config.protocol.max_order)
-    except ValueError as exc:
-        raise ConfigError(f"--max-order: {exc}") from None
-
-
 def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
     """Read a UTF-8 header CSV into named columns with role-aware parsing, row by row.
 
+    A leading byte-order mark is skipped, so it is not part of the first column's name.
     Only the named columns are kept (every column when none is named).
     Columns categorized as "categorical" keep their string labels, as an
     object array; all other requested columns must parse as finite decimals
@@ -280,7 +270,7 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
     anywhere comes first.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -633,11 +623,14 @@ def cmd_grid(args) -> int:
 
 def cmd_select(args) -> int:
     config = _series_config(args)
-    _check_max_order(config)
-    # only select reads --noise, so a config file shared with measure may name any
-    unknown = [c for c in config.protocol.noise_features if c not in config.covariates]
-    if unknown:
-        raise ConfigError(f"noise features must be covariates, got {unknown}")
+    try:
+        check_subset_budget(len(config.covariates), config.protocol.max_order)
+    except ValueError as exc:
+        raise ConfigError(f"--max-order: {exc}") from None
+    try:  # only select reads --noise, so a config file shared with measure may name any
+        check_noise_features(config.protocol.noise_features, config.covariates)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     evaluator = _load(config)
     if evaluator.n < 3:  # synthetic noise features are binned 1+K+1, which takes 3 values
         raise DataError(f"select needs at least 3 rows, got {evaluator.n}")
@@ -645,13 +638,15 @@ def cmd_select(args) -> int:
     ledger = build_ledger(evaluator)
     report = select_major_factors(evaluator)
     ledger_tsv = ledger_to_tsv(ledger)
+    confirmed = [((f,), 1, "order-1 major factor") for f in report.chief_collection] + [
+        (pair, 2, "order-2 major factor (interaction)") for pair in report.interactions
+    ]
     fields = {
         "chief": list(report.chief_collection),
         "alternatives": [list(s) for s in report.alternative_collections],
-        "interactions": [list(s) for s, order, _ in report.confirmed if order >= 2],
+        "interactions": [list(s) for s in report.interactions],
         "confirmed": [
-            {"subset": list(s), "order": order, "label": label}
-            for s, order, label in report.confirmed
+            {"subset": list(s), "order": order, "label": label} for s, order, label in confirmed
         ],
         "pairs": [
             {
@@ -667,7 +662,7 @@ def cmd_select(args) -> int:
     lines = [ledger_tsv.rstrip("\n"), "", f"chief\t{' '.join(fields['chief']) or '-'}"]
     for alt in fields["alternatives"]:
         lines.append(f"alternative\t{' '.join(alt)}")
-    for s, _, label in report.confirmed:
+    for s, _, label in confirmed:
         lines.append(f"confirmed\t{'+'.join(s)}\t{label}")
     _write_report(config, args.out, fields, lines)
     return 0

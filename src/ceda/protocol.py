@@ -155,21 +155,17 @@ class PairAnalysis:
 
 @dataclass(frozen=True)
 class MajorFactorReport:
-    """Confirmed factors, their classifications and the (in)compatible collections."""
+    """The chief and alternative collections, the interaction pairs and every pair's analysis."""
 
-    confirmed: list
     chief_collection: tuple
     alternative_collections: list
+    interactions: list
     pair_analyses: list
 
 
 def enumerate_subsets(features, max_order: int) -> list[tuple]:
     """All subsets of size 1..max_order in (size, lexicographic) order."""
     features = list(features)
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if max_order > len(features):
-        raise ValueError("max_order exceeds the feature count")
     check_subset_budget(len(features), max_order)
     out = []
     for k in range(1, max_order + 1):
@@ -178,16 +174,26 @@ def enumerate_subsets(features, max_order: int) -> list[tuple]:
 
 
 def check_subset_budget(n_features: int, max_order: int):
-    """Raise ``ValueError`` when subsets of 1..max_order features would exceed ``SUBSET_BUDGET``.
+    """Raise ``ValueError`` unless 1 <= max_order <= n_features and the subsets of
+    1..max_order features fit ``SUBSET_BUDGET``.
 
     The count, the sum of C(n_features, k) over k, is judged before any subset is built.
     """
+    if not 1 <= max_order <= n_features:
+        raise ValueError(f"max order {max_order} is outside 1..{n_features} (the feature count)")
     count = sum(math.comb(n_features, k) for k in range(1, max_order + 1))
     if count > SUBSET_BUDGET:
         raise ValueError(
             f"{count} subsets of 1 to {max_order} of {n_features} features exceed "
             f"the subset budget ({SUBSET_BUDGET})"
         )
+
+
+def check_noise_features(noise_features, covariates):
+    """Raise ``ValueError`` when a designated noise feature is not a covariate."""
+    unknown = [f for f in noise_features if f not in covariates]
+    if unknown:
+        raise ValueError(f"noise features must be covariates, got {unknown}")
 
 
 class _OnceCache:
@@ -307,9 +313,8 @@ class SubsetEvaluator:
 
         def compute():
             cfg = self.config
-            noise = [
-                f for f in cfg.noise_features if f in self.covariates and f not in subset
-            ]
+            check_noise_features(cfg.noise_features, self.covariates)
+            noise = [f for f in cfg.noise_features if f not in subset]
             samples = [self.ce(subset + combo) for combo in itertools.combinations(noise, pad)]
             synthetic = len(samples) < 2
             if synthetic:
@@ -547,14 +552,10 @@ def select_major_factors(evaluator: SubsetEvaluator) -> MajorFactorReport:
             augmented |= links.get(member, set())
         alternatives.append(tuple(sorted(augmented, key=str)))
 
-    confirmed = [((f,), 1, "order-1 major factor") for f in sorted(chief, key=str)]
-    for pair in interactions:
-        confirmed.append((pair, 2, "order-2 major factor (interaction)"))
-
     return MajorFactorReport(
-        confirmed=confirmed,
         chief_collection=tuple(sorted(chief, key=str)),
         alternative_collections=alternatives,
+        interactions=interactions,
         pair_analyses=pair_analyses,
     )
 

@@ -251,6 +251,22 @@ class TestIngestCsv:
         # a fixed-width array of the 500 labels would take 500 x 400 KB
         assert peak < 5_000_000
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "--response", "Y", "--covariates", "V1"], ["bins"]],
+        ids=["measure", "bins-every-column"],
+    )
+    def test_a_byte_order_mark_is_not_part_of_the_first_column_name(
+        self, capsys, tmp_path, ex1_csv, argv
+    ):
+        path = tmp_path / "d.csv"  # one path for both reads, so the config digests agree
+        plain = Path(ex1_csv).read_bytes()
+        path.write_bytes(plain)
+        want = run(capsys, *argv, "--input", str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        assert run(capsys, *argv, "--input", str(path)) == want
+        assert want[0] == 0 and want[1]
+
     def test_toy_round_trip(self, toy_csv):
         cfg = RunConfig(response=("Y",), covariates=("V1",))
         data = ingest_csv(toy_csv, cfg)
@@ -360,7 +376,7 @@ class TestExitCodes:
             capsys, "select", "--input", ex1_csv, "--response", "Y", "--covariates", "V1",
         )
         assert code == 3
-        assert "config error: max-order 2" in err
+        assert err == "config error: --max-order: max order 2 is outside 1..1 (the feature count)\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -807,7 +823,8 @@ class TestExitCodes:
              "response Y,X1: a multi-column response takes one directive, kmeans:K, on its first"),
             (["select", "--response", "Y,X1", "--covariates", "X2", "--categorize", "X1=kmeans:3"],
              "response Y,X1: a multi-column response takes one directive"),
-            (["select", "--response", "Y", "--covariates", "X1"], "max-order 2 exceeds"),
+            (["select", "--response", "Y", "--covariates", "X1"],
+             "--max-order: max order 2 is outside 1..1"),
             (["select", "--response", "Y", "--covariates", "X1,X2", "--noise", "Z"],
              "noise features must be covariates"),
             (["grid", "--response", "Y", "--covariates", "X1", "--y-ladder", "a"],

@@ -121,6 +121,11 @@ class TestEnumerateSubsets:
         with pytest.raises(ValueError, match=f"^{count} subsets of 1 to {max_order} of {n} "):
             enumerate_subsets(features, max_order)
 
+    @pytest.mark.parametrize("n, max_order", [(1, 2), (3, 0), (0, 1)])
+    def test_max_order_outside_one_to_the_feature_count_is_refused(self, n, max_order):
+        with pytest.raises(ValueError, match=rf"^max order {max_order} is outside 1\.\.{n} "):
+            ceda.protocol.check_subset_budget(n, max_order)
+
     def test_subset_budget_boundary(self):
         """Every subset of 23 features (8 388 607) is admitted; of 24 (16 777 215), refused."""
         ceda.protocol.check_subset_budget(23, 23)
@@ -317,6 +322,14 @@ class TestReferenceBand:
         assert ev.padded_ce_samples((), 1)[0] == ev.ce(("X4",))
         assert ev.drew_synthetic((), 1)
 
+    def test_noise_feature_that_is_not_a_covariate_is_refused(self, additive_sine_setup):
+        """A noise level reads the designated features, so a name outside the covariates
+        raises instead of falling back to synthetic noise."""
+        cov, y = additive_sine_setup
+        ev = SubsetEvaluator(cov, y, ProtocolConfig(seed=1, noise_features=("X4", "Z")))
+        with pytest.raises(ValueError, match=r"^noise features must be covariates, got \['Z'\]$"):
+            ev.reference_band(1)
+
     def test_padding_must_add_a_feature(self, additive_sine_evaluator):
         with pytest.raises(ValueError):
             additive_sine_evaluator.padded_ce_samples(("X1", "X2"), 2)
@@ -362,11 +375,8 @@ class TestClassifySubset:
 class TestSelectMajorFactors:
     def test_additive_sine_study_selection(self, additive_sine_evaluator):
         report = select_major_factors(additive_sine_evaluator)
-        assert report.confirmed == [
-            (("X1",), 1, "order-1 major factor"),
-            (("X2", "X3"), 2, "order-2 major factor (interaction)"),
-        ]
         assert report.chief_collection == ("X1",)
+        assert report.interactions == [("X2", "X3")]
         # X4 fails the order-1 gate: not confirmed, or not below the reference band
         ev = additive_sine_evaluator
         q025 = ev.reference_band(1).q025
@@ -390,8 +400,8 @@ class TestSelectMajorFactors:
         y = binned(rng.standard_normal(n), 10)
         cov = {f"Z{i}": binned(rng.random(n), 10) for i in range(3)}
         report = select_major_factors(SubsetEvaluator(cov, y, ProtocolConfig(seed=3)))
-        assert report.confirmed == []
         assert report.chief_collection == ()
+        assert report.interactions == []
 
     def test_non_coexistent_composite_feature_forms_alternative(self):
         data = sample(GeneratorSpec("ex6", 50_000, seed=1))
@@ -426,7 +436,7 @@ class TestSelectMajorFactors:
         monkeypatch.setattr(ev, "table", lambda s: asked.append(tuple(sorted(s))) or table(s))
         report = select_major_factors(ev)
         assert report.chief_collection == ("B",)
-        assert report.confirmed == [(("B",), 1, "order-1 major factor")]
+        assert report.interactions == []
         assert ("B",) in asked and ("A",) not in asked
 
     def test_cell_floor_that_leaves_no_singleton_a_verdict_confirms_nothing(
@@ -437,7 +447,7 @@ class TestSelectMajorFactors:
         assert all(e.c1 is None for e in build_ledger(ev))
         report = select_major_factors(ev)
         assert report.chief_collection == ()
-        assert report.confirmed == []
+        assert report.interactions == []
 
 
 class TestMaximalCoexistentSets:
