@@ -59,11 +59,48 @@ class DataError(Exception):
     """Invalid or unreadable input data; maps to exit code 2."""
 
 
-# The ProtocolConfig fields a flag or config file can set (unset, they keep their
-# defaults), and every config key a flag overrides, by the flag's dest.  The
-# ``--categorize`` flag is not among them: it merges column by column.
-_PROTOCOL_FIELDS = ("max_order", "replicates", "seed", "threads", "r_int", "cell_floor")
-_SETTINGS = ("input", "response", "covariates", "noise_features", "format", *_PROTOCOL_FIELDS)
+# The subcommands, each reading at least the settings the one before it reads
+_ALL = ("simulate", "bins", "measure", "null", "grid", "select")
+_DATA, _REPORTS, _BANDS = _ALL[1:], _ALL[2:], _ALL[3:]
+
+# One row per common setting: flag, dest, value form, the subcommands that read it (`bins`
+# prints the seed; `grid` reads `--categorize` only to refuse it) and the rest of its argparse
+# arguments.  The dest is also the setting's config-file key, unless the form is None: a flag
+# that no config file sets.  A subcommand takes only its flags, and keeps only their keys.
+_SETTING_TABLE = (
+    ("--input", "input", "text", _DATA, {"help": "input CSV path"}),
+    ("--config", "config", None, _ALL, {"help": "JSON config file"}),
+    ("--response", "response", "names", _DATA, {"help": "comma-separated response column(s)"}),
+    ("--covariates", "covariates", "names", _DATA, {"help": "comma-separated covariate columns"}),
+    (
+        "--categorize", "categorize", "directives", _DATA,
+        {"help": "per-column directives, e.g. Y=quantile:10,X1=kmeans:12,G=categorical"},
+    ),
+    (
+        "--noise", "noise_features", "names", ("select",),
+        {"help": "comma-separated designated noise columns"},
+    ),
+    ("--max-order", "max_order", "integer", ("select",), {}),
+    ("--replicates", "replicates", "integer", _BANDS, {}),
+    ("--seed", "seed", "integer", _ALL, {}),
+    ("--threads", "threads", "integer", _BANDS, {}),
+    ("--r-int", "r_int", "number", ("select",), {}),
+    ("--cell-floor", "cell_floor", "number", ("select",), {}),
+    ("--format", "format", "text", _REPORTS, {"choices": ("tsv", "json")}),
+    ("--out", "out", None, _ALL, {"help": "write data here instead of stdout"}),
+)
+
+# A config value's form: what the error names, and whether the JSON value has it
+_FORMS = {
+    "text": ("a string", lambda v: isinstance(v, str)),
+    "names": (
+        "comma-separated text or a list of names",
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(isinstance(c, str) for c in v),
+    ),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "number": ("a number", lambda v: type(v) in (int, float)),
+    "directives": ("an object mapping columns to directives", lambda v: isinstance(v, dict)),
+}
 
 
 @dataclass(frozen=True)
@@ -100,7 +137,8 @@ class RunConfig:
         return method if method == "categorical" else f"{method}:{k}"
 
     def digest(self) -> str:
-        protocol = {n: getattr(self.protocol, n) for n in _PROTOCOL_FIELDS if n != "threads"}
+        fields = ("max_order", "replicates", "seed", "r_int", "cell_floor")
+        protocol = {n: getattr(self.protocol, n) for n in fields}
         blob = json.dumps(
             {
                 "input": self.input_path,
@@ -166,7 +204,7 @@ def _parse_categorize(text: str | None) -> dict:
 
 def _load_json_object(path: str, what: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
@@ -180,79 +218,62 @@ def _load_json_object(path: str, what: str) -> dict:
 def _check_config_file(cfg: dict) -> dict:
     """The config file's settings with each value checked against its key's form.
 
-    ``input`` and ``format`` are strings; ``response``, ``covariates`` and
-    ``noise_features`` are comma-separated text or a list of names;
-    ``categorize`` maps columns to ``_parse_directive``'s forms; the integer
-    protocol fields take whole JSON numbers and ``r_int``/``cell_floor`` any
-    JSON number (never a bool).  Other keys are ignored.  A value of the
-    wrong form is a ConfigError.
+    A key's form is its ``_SETTING_TABLE`` row's: ``text`` is a string, ``names``
+    comma-separated text or a list of names, ``integer`` a whole JSON number, ``number``
+    any JSON number (never a bool) and ``directives`` an object mapping columns to
+    ``_parse_directive``'s forms.  Every key in the table is checked, read by the running
+    subcommand or not, because one file may serve several; other keys are dropped.  A
+    value of the wrong form is a ConfigError.
     """
 
-    def bad(name, want):
-        return ConfigError(f"bad config value: {name!r} must be {want}, got {cfg[name]!r}")
+    def bad(key, want):
+        return ConfigError(f"bad config value: {key!r} must be {want}, got {cfg[key]!r}")
 
-    out = dict(cfg)
-    for name in ("input", "format"):
-        if name in cfg and not isinstance(cfg[name], str):
-            raise bad(name, "a string")
-    for name in ("response", "covariates", "noise_features"):
-        value = cfg.get(name, "")
-        if not (
-            isinstance(value, str)
-            or isinstance(value, list) and all(isinstance(c, str) for c in value)
-        ):
-            raise bad(name, "comma-separated text or a list of names")
-    for name in _PROTOCOL_FIELDS:
-        if name not in cfg:
+    out = {}
+    for _, key, form, _, _ in _SETTING_TABLE:
+        if form is None or key not in cfg:
             continue
-        value = cfg[name]
-        if isinstance(getattr(ProtocolConfig, name), int):
-            if type(value) is not int:
-                raise bad(name, "an integer")
-        elif type(value) not in (int, float):
-            raise bad(name, "a number")
-        else:
+        value = cfg[key]
+        want, fits = _FORMS[form]
+        if not fits(value):
+            raise bad(key, want)
+        if form == "number":
             try:  # stored as a float, as the flag gives it, so the digest is the same
-                out[name] = float(value)
+                value = float(value)
             except OverflowError:
-                raise bad(name, "a number in double range") from None
-    if "categorize" in cfg:
-        if not isinstance(cfg["categorize"], dict):
-            raise bad("categorize", "an object mapping columns to directives")
-        try:
-            out["categorize"] = {
-                col: _parse_directive(col, spec) for col, spec in cfg["categorize"].items()
-            }
-        except ConfigError as exc:
-            raise ConfigError(f"bad config value: categorize: {exc}") from None
+                raise bad(key, "a number in double range") from None
+        elif form == "directives":
+            try:
+                value = {col: _parse_directive(col, spec) for col, spec in value.items()}
+            except ConfigError as exc:
+                raise ConfigError(f"bad config value: {key}: {exc}") from None
+        out[key] = value
     return out
 
 
 def build_run_config(args) -> RunConfig:
-    """The config file's settings, each overridden by its flag where one is given."""
-    settings = (
-        _check_config_file(_load_json_object(args.config, "config file")) if args.config else {}
+    """The settings ``args.command`` reads: the config file's, each overridden by its flag
+    where one is given.  The file's keys that the subcommand does not read are dropped
+    once their form is checked, so they reach no range check and no digest."""
+    read = {key for _, key, form, cmds, _ in _SETTING_TABLE if form and args.command in cmds}
+    file = _check_config_file(_load_json_object(args.config, "config file")) if args.config else {}
+    settings = {k: v for k, v in file.items() if k in read}
+    flags = {k: v for k, v in vars(args).items() if k in read and v is not None}
+    settings["categorize"] = settings.get("categorize", {}) | _parse_categorize(
+        flags.pop("categorize", None)
     )
-    settings.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
-    settings["categorize"] = settings.get("categorize", {}) | _parse_categorize(args.categorize)
+    settings.update(flags)
     for role in ("response", "covariates", "noise_features"):  # text or a list of names
         v = settings.get(role, "")
         settings[role] = tuple([c for c in v.split(",") if c] if isinstance(v, str) else v)
-    try:
-        protocol = ProtocolConfig(
-            **{n: settings[n] for n in ("noise_features", *_PROTOCOL_FIELDS) if n in settings}
-        )
+    fields = {k: settings.pop(k) for k in ("response", "covariates", "categorize")}
+    fields.update(input_path=settings.pop("input", None), out_format=settings.pop("format", "tsv"))
+    try:  # what is left is the protocol's
+        protocol = ProtocolConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config = RunConfig(
-        input_path=settings.get("input"),
-        response=settings["response"],
-        covariates=settings["covariates"],
-        categorize=settings["categorize"],
-        protocol=protocol,
-        out_format=settings.get("format", "tsv"),
-    )
-    if not config.input_path and args.command != "simulate":
+    config = RunConfig(protocol=protocol, **fields)
+    if "input" in read and not config.input_path:
         raise ConfigError(f"{args.command} requires --input")
     return config
 
@@ -263,8 +284,9 @@ def ingest_csv(path: str, config: RunConfig) -> dict[str, np.ndarray]:
     A leading byte-order mark is skipped, so it is not part of the first column's name.
     Only the named columns are kept (every column when none is named).
     Columns categorized as "categorical" keep their string labels, as an
-    object array; all other requested columns must parse as finite decimals
-    and are stored as float64 while reading.  Errors name the offending data
+    object array; every other requested column is parsed by ``float`` (so
+    ``1_000`` and a full-width ``２`` are numbers too), must be finite, and is
+    stored as float64 while reading.  Errors name the offending data
     row (1-based, excluding the header) and column.  The whole file is read
     before a header or row fault is raised, so a fault reading the file
     anywhere comes first.
@@ -668,28 +690,6 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--input", help="input CSV path")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--response", help="comma-separated response column(s)")
-    p.add_argument("--covariates", help="comma-separated covariate columns")
-    p.add_argument(
-        "--categorize",
-        help="per-column directives, e.g. Y=quantile:10,X1=kmeans:12,G=categorical",
-    )
-    p.add_argument(
-        "--noise", dest="noise_features", help="comma-separated designated noise columns"
-    )
-    p.add_argument("--max-order", dest="max_order", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--r-int", dest="r_int", type=float)
-    p.add_argument("--cell-floor", dest="cell_floor", type=float)
-    p.add_argument("--format", choices=("tsv", "json"))
-    p.add_argument("--out", help="write data here instead of stdout")
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are ConfigErrors (exit 3), not exit 2."""
 
@@ -707,34 +707,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a seeded dataset from a built-in study")
     p.add_argument("--example", required=True, choices=EXAMPLE_IDS)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bins", help="emit or replay categorization schemes")
     p.add_argument("--replay", help="JSON scheme file to apply instead of fitting")
-    _add_common(p)
     p.set_defaults(func=cmd_bins)
 
     p = sub.add_parser("measure", help="entropy report per covariate subset")
     p.add_argument("--subsets", help="e.g. X1,X2+X3 (default: all singletons)")
-    _add_common(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("null", help="null band and confirmability per subset")
     p.add_argument("--subsets", help="e.g. X1,X2+X3 (default: all singletons)")
-    _add_common(p)
     p.set_defaults(func=cmd_null)
 
     p = sub.add_parser("grid", help="mutual-information grid over cluster ladders")
     p.add_argument("--y-ladder", dest="y_ladder", default="12,22,32,102")
     p.add_argument("--x-ladder", dest="x_ladder", default="12,22,32,102")
-    _add_common(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("select", help="subset ledger and major-factor report")
-    _add_common(p)
     p.set_defaults(func=cmd_select)
 
+    for flag, dest, form, commands, extra in _SETTING_TABLE:
+        for command in commands:
+            sub.choices[command].add_argument(
+                flag, dest=dest, type={"integer": int, "number": float}.get(form), **extra
+            )
     return parser
 
 

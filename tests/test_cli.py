@@ -1,6 +1,5 @@
 """Command-line workflows: ingestion, reports, exit codes, provenance."""
 
-import argparse
 import contextlib
 import csv
 import io
@@ -20,7 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ceda.nullsim
 import ceda.protocol
-from ceda.cli import ConfigError, DataError, RunConfig, _add_common, ingest_csv, main
+from ceda.cli import (
+    _SETTING_TABLE, ConfigError, DataError, RunConfig, build_parser, ingest_csv, main,
+)
 from ceda.categorize import BinningScheme, apply_bins, fuse_features, quantile_bins
 from ceda.genlab import EXAMPLE_IDS, GeneratorSpec, sample
 from ceda.protocol import ProtocolConfig, SubsetEvaluator
@@ -357,17 +358,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["measure", "null", "grid", "bins"])
     def test_max_order_is_read_by_select_alone(self, capsys, tmp_path, ex1_csv, command, given):
         """Only ``select`` reads ``--max-order``: another subcommand with one covariate
-        runs as it does without it, given as a flag or by a shared config file."""
-        argv = [command, "--input", ex1_csv, "--response", "Y", "--covariates", "V1",
-                "--replicates", "50"]
+        refuses the flag, and runs as it does without it when a shared config file gives it."""
+        argv = [command, "--input", ex1_csv, "--response", "Y", "--covariates", "V1"]
+        if command in ("null", "grid"):
+            argv += ["--replicates", "50"]
         if command == "grid":
             argv += ["--y-ladder", "3", "--x-ladder", "2"]
         if given == "flag":
-            setting = ["--max-order", "2"]
-        else:
-            (tmp_path / "shared.json").write_text('{"max_order": 2}')
-            setting = ["--config", str(tmp_path / "shared.json")]
-        code, out, err = run(capsys, *argv, *setting)
+            code, out, err = run(capsys, *argv, "--max-order", "2")
+            assert (code, out) == (3, "")
+            assert err == "config error: ceda: unrecognized arguments: --max-order 2\n"
+            return
+        (tmp_path / "shared.json").write_text('{"max_order": 2}')
+        code, out, err = run(capsys, *argv, "--config", str(tmp_path / "shared.json"))
         assert code == 0, err
         assert out == run(capsys, *argv)[1]
 
@@ -595,13 +598,12 @@ class TestExitCodes:
     def test_config_numbers_of_the_right_form_are_accepted(self, capsys, tmp_path, ex4_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"seed": 3, "r_int": 2, "cell_floor": 0.5, "max_order": 1}')
-        code, out, _ = run(
-            capsys, "measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
-            "--config", str(cfg),
-        )
+        common = ("select", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+                  "--replicates", "20")
+        code, out, _ = run(capsys, *common, "--config", str(cfg))
         assert code == 0
         assert out == run(
-            capsys, "measure", "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
+            capsys, *common,
             "--seed", "3", "--r-int", "2.0", "--cell-floor", "0.5", "--max-order", "1",
         )[1]
 
@@ -632,7 +634,7 @@ class TestExitCodes:
     def test_subset_repeating_a_feature_is_exit_3(self, capsys, ex4_csv, command):
         code, out, err = run(
             capsys, command, "--input", ex4_csv, "--response", "Y",
-            "--covariates", "X1,X2", "--subsets", "X2,X1+X1", "--replicates", "50",
+            "--covariates", "X1,X2", "--subsets", "X2,X1+X1",
         )
         assert code == 3
         assert err.startswith("config error: subset 'X1+X1'")
@@ -642,7 +644,7 @@ class TestExitCodes:
     def test_subsets_naming_no_subset_is_exit_3(self, capsys, ex4_csv, command, value):
         code, out, err = run(
             capsys, command, "--input", ex4_csv, "--response", "Y",
-            "--covariates", "X1,X2", "--subsets", value, "--replicates", "50",
+            "--covariates", "X1,X2", "--subsets", value,
         )
         assert code == 3
         assert err == "config error: --subsets names no subset\n"
@@ -651,18 +653,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, roles, message",
         [
-            ("select", ("--covariates", "X1,X1"), "covariates names a column more than once"),
+            ("select", ("--covariates", "X1,X1", "--replicates", "20"),
+             "covariates names a column more than once"),
             ("measure", ("--covariates", "X1,X1"), "covariates names a column more than once"),
             ("bins", ("--covariates", "X1,X1"), "covariates names a column more than once"),
             ("measure", ("--response", "Y,Y"), "response names a column more than once"),
-            ("select", ("--noise", "X2,X2"), "noise_features names a feature more than once"),
+            ("select", ("--noise", "X2,X2", "--replicates", "20"),
+             "noise_features names a feature more than once"),
         ],
     )
     def test_column_named_twice_is_exit_3(self, capsys, ex4_csv, command, roles, message):
         # the last of a repeated flag wins, so ``roles`` overrides the default roles
         code, out, err = run(
             capsys, command, "--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
-            *roles, "--replicates", "20",
+            *roles,
         )
         assert code == 3
         assert err.startswith(f"config error: {message}")
@@ -755,7 +759,7 @@ class TestExitCodes:
         "argv",
         [
             ("grid", "--response", "G", "--covariates", "X", "--categorize", "G=categorical",
-             "--y-ladder", "2", "--x-ladder", "2"),
+             "--y-ladder", "2", "--x-ladder", "2", "--replicates", "20"),
             ("measure", "--response", "Y,G", "--covariates", "X",
              "--categorize", "G=categorical"),
         ],
@@ -764,7 +768,7 @@ class TestExitCodes:
     def test_kmeans_on_a_categorical_column_is_exit_3(self, capsys, tmp_path, argv):
         path = tmp_path / "d.csv"
         path.write_text("Y,X,G\n" + "".join(f"{i},{i % 4},{'ab'[i % 2]}\n" for i in range(12)))
-        code, out, err = run(capsys, *argv, "--input", str(path), "--replicates", "20")
+        code, out, err = run(capsys, *argv, "--input", str(path))
         assert code == 3
         assert err.startswith("config error: column 'G': K-means")
         assert out == ""
@@ -781,7 +785,9 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_negative_seed_is_exit_3(self, capsys, ex4_csv, argv):
-        code, out, err = run(capsys, *argv, "--input", ex4_csv, "--seed", "-1")
+        if argv[0] != "simulate":
+            argv = (*argv, "--input", ex4_csv)
+        code, out, err = run(capsys, *argv, "--seed", "-1")
         assert code == 3
         assert err.startswith("config error: seed must be >= 0")
         assert out == ""
@@ -799,8 +805,8 @@ class TestExitCodes:
         shared = tmp_path / "cfg.json"
         shared.write_text(json.dumps({"noise_features": ["X2", "Z9"]}))
         argv = ("--input", ex4_csv, "--response", "Y", "--covariates", "X1,X2",
-                "--config", str(shared), "--replicates", "20")
-        code, out, err = run(capsys, "select", *argv)
+                "--config", str(shared))
+        code, out, err = run(capsys, "select", *argv, "--replicates", "20")
         assert code == 3
         assert err.startswith("config error: noise features must be covariates")
         assert "'Z9'" in err and "'X2'" not in err
@@ -1040,8 +1046,8 @@ class TestPlusEntries:
         for entry in ("X1+X2", "X2+X1"):
             code, out, _ = run(
                 capsys, command, "--input", ex4_csv, "--response", "Y",
-                "--covariates", "X1,X2,X3,X4", "--replicates", "50", "--seed", "1",
-                "--subsets", entry, "--format", "json",
+                "--covariates", "X1,X2,X3,X4", "--seed", "1", "--subsets", entry,
+                "--format", "json", *(["--replicates", "50"] if command == "null" else []),
             )
             assert code == 0
             (row,) = json.loads(out)[key]
@@ -1351,7 +1357,6 @@ class TestSelectCommand:
 @pytest.mark.parametrize(
     "command",
     [
-        ("measure", "--covariates", "X1,X2,X3", "--subsets", "X1,X2+X3"),
         ("null", "--covariates", "X1,X2,X3", "--subsets", "X1,X2+X3"),
         ("grid", "--covariates", "X1", "--y-ladder", "4,6", "--x-ladder", "4,6"),
         ("select", "--covariates", "X1,X2,X3,X4"),
@@ -1478,10 +1483,22 @@ def replay_files(draw):
     return json.dumps(schemes)
 
 
+COMMANDS = ("simulate", "bins", "measure", "null", "grid", "select")
+
+
+def common_flags(command):
+    """The common flags ``command`` takes, in the settings table's order."""
+    return [flag for flag, _, _, commands, _ in _SETTING_TABLE if command in commands]
+
+
 @st.composite
 def cli_runs(draw):
     """A small CSV with awkward columns, one command with flags at or past their bounds,
-    and the contents of the JSON files it reads (``--config``, ``bins --replay``)."""
+    and the contents of the JSON files it reads (``--config``, ``bins --replay``).
+
+    The command gets only the common flags it reads, but 1 draw in 10 adds one it does
+    not read, which is returned as well (None when there is none).
+    """
 
     def value(flag):
         good, bad = FLAGS[flag]
@@ -1501,42 +1518,54 @@ def cli_runs(draw):
     text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
 
     command = draw(st.sampled_from(["measure", "null", "bins", "select", "grid", "simulate"]))
+    reads = common_flags(command)
     seed = ["--seed", value("--seed")] if draw(st.booleans()) else []
     files = {}
     if draw(st.booleans()):
         files["--config"] = draw(config_files())
     if command == "simulate":
         example = draw(st.sampled_from(EXAMPLE_IDS))
-        return text, ["simulate", "--example", example, "--n", value("--n"), *seed], files
-    if command == "bins" and draw(st.booleans()):
-        files["--replay"] = draw(replay_files())
-    roles = [("Y", "X1,X2")] * 3 + [
-        ("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y"), ("Y", "X1,X1"), ("Y,Y", "X1"),
-    ]
-    if command == "grid":
-        roles = [("Y", "X1")] * 3 + roles
-    roles = draw(st.sampled_from(roles))
-    argv = [command, "--response", roles[0], "--covariates", roles[1], *seed]
-    if command == "grid":
-        argv += ["--y-ladder", value("--y-ladder"), "--x-ladder", value("--x-ladder")]
-    argv += ["--replicates", value("--replicates")]
-    directives = [f"{c}={value('--categorize')}" for c in header if draw(st.booleans())]
-    if directives:
-        argv += ["--categorize", ",".join(directives)]
-    for flag in ("--max-order", "--threads", "--r-int", "--cell-floor", "--noise", "--subsets"):
-        if (flag != "--subsets" or command in ("measure", "null")) and draw(st.booleans()):
-            argv += [flag, value(flag)]
-    return text, argv + ["--format", draw(st.sampled_from(["tsv", "json"]))], files
+        argv = ["simulate", "--example", example, "--n", value("--n"), *seed]
+    else:
+        if command == "bins" and draw(st.booleans()):
+            files["--replay"] = draw(replay_files())
+        roles = [("Y", "X1,X2")] * 3 + [
+            ("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y"), ("Y", "X1,X1"), ("Y,Y", "X1"),
+        ]
+        if command == "grid":
+            roles = [("Y", "X1")] * 3 + roles
+        roles = draw(st.sampled_from(roles))
+        argv = [command, "--response", roles[0], "--covariates", roles[1], *seed]
+        if command == "grid":
+            argv += ["--y-ladder", value("--y-ladder"), "--x-ladder", value("--x-ladder")]
+        if "--replicates" in reads:
+            argv += ["--replicates", value("--replicates")]
+        directives = [f"{c}={value('--categorize')}" for c in header if draw(st.booleans())]
+        if directives:
+            argv += ["--categorize", ",".join(directives)]
+        for flag in ("--max-order", "--threads", "--r-int", "--cell-floor", "--noise", "--subsets"):
+            if (flag in reads or flag == "--subsets" and command in ("measure", "null")) and (
+                draw(st.booleans())
+            ):
+                argv += [flag, value(flag)]
+        if "--format" in reads:
+            argv += ["--format", draw(st.sampled_from(["tsv", "json"]))]
+    unread = [flag for flag in common_flags("select") if flag not in reads]
+    if unread and draw(st.integers(0, 9)) == 9:
+        flag = draw(st.sampled_from(unread))
+        return text, [*argv, flag, value(flag) if flag in FLAGS else "X1"], files, flag
+    return text, argv, files, None
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_runs())
 def test_exit_code_contract(tmp_path_factory, run_case):
-    """Every input ends in exit 0 with a parseable report, 2 or 3; never in a traceback."""
-    text, argv, files = run_case
+    """Every input ends in exit 0 with a parseable report, 2 or 3; never in a traceback.
+    A flag the command does not read is a usage error: exit 3, in one line."""
+    text, argv, files, unread = run_case
     folder = tmp_path_factory.mktemp("fuzz")
     (folder / "d.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
-    paths = ["--input", str(folder / "d.csv")]
+    paths = ["--input", str(folder / "d.csv")] if "--input" in common_flags(argv[0]) else []
     for flag, content in files.items():
         (folder / f"{flag[2:]}.json").write_text(content)
         paths += [flag, str(folder / f"{flag[2:]}.json")]
@@ -1545,7 +1574,14 @@ def test_exit_code_contract(tmp_path_factory, run_case):
         code = main([*argv, *paths])
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if code == 0:
+    if unread:
+        assert (code, out.getvalue()) == (3, "")
+        # a flag value of the wrong type is a usage error too, and argparse reports it first
+        assert re.fullmatch(
+            rf"config error: ceda.*(unrecognized arguments: {unread} |: invalid ).*\n",
+            err.getvalue(),
+        )
+    elif code == 0:
         report = out.getvalue()
         if "--replay" in files:
             assert report.splitlines()[0].split(",") == list(json.loads(files["--replay"]))
@@ -1568,10 +1604,87 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_readme_names_every_common_flag():
-    """README's "All subcommands share the flags ..." sentence lists ``_add_common``'s options."""
+    """README's list under "Each subcommand takes only the common flags it reads" names
+    each subcommand's row of the settings table, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    sentence = re.search(r"All subcommands share the flags (.*?)\.\s", readme, re.S).group(1)
-    parser = argparse.ArgumentParser(add_help=False)
-    _add_common(parser)
-    registered = [s for action in parser._actions for s in action.option_strings]
-    assert re.findall(r"`(--[\w-]+)", sentence) == registered
+    block = re.search(r"Each subcommand takes only the common flags it reads.*?\n\n(.*?)\n\n",
+                      readme, re.S).group(1)
+    listed = {
+        command: re.findall(r"`(--[\w-]+)", flags)
+        for command, flags in re.findall(r"^- `(\w+)`: (.*?)\.$", block, re.S | re.M)
+    }
+    assert listed == {command: common_flags(command) for command in COMMANDS}
+
+
+class TestSettingsTable:
+    """A subcommand takes the common flags it reads and keeps the config keys it reads."""
+
+    def test_each_parser_holds_its_rows_of_the_table(self):
+        own = {"-h", "--help", "--example", "--n", "--replay", "--subsets", "--y-ladder",
+               "--x-ladder"}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        taken = {
+            command: [s for a in p._actions for s in a.option_strings if s not in own]
+            for command, p in sub.choices.items()
+        }
+        assert taken == {command: common_flags(command) for command in COMMANDS}
+        assert sum(map(len, taken.values())) == 52
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("grid", "--max-order", "9"), ("grid", "--noise", "Q"), ("grid", "--r-int", "7"),
+            ("grid", "--cell-floor", "5"), ("simulate", "--format", "json"),
+            ("simulate", "--input", "x.csv"), ("simulate", "--max-order", "99"),
+            ("measure", "--noise", "ZZ"), ("measure", "--max-order", "99"),
+            ("measure", "--r-int", "5"), ("bins", "--format", "tsv"),
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_exit_3_before_reading(
+        self, capsys, command, flag, value
+    ):
+        argv = {
+            "simulate": ("simulate", "--example", "ex4", "--n", "10"),
+            "bins": ("bins", "--input", "/no/such/file.csv"),
+            "measure": ("measure", "--input", "/no/such/file.csv", "--response", "Y",
+                        "--covariates", "X1"),
+            "grid": ("grid", "--input", "/no/such/file.csv", "--response", "Y",
+                     "--covariates", "X1", "--y-ladder", "4", "--x-ladder", "4"),
+        }[command]
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (3, "")
+        assert err == f"config error: ceda: unrecognized arguments: {flag} {value}\n"
+
+    @pytest.mark.parametrize(
+        "content", ['{"max_order": 9, "r_int": 7}', '{"max_order": 0, "cell_floor": -1}'],
+        ids=["select-values", "out-of-range"],
+    )
+    def test_a_config_key_grid_does_not_read_moves_no_byte(
+        self, capsys, tmp_path, ex4_csv, content
+    ):
+        shared = tmp_path / "select.json"
+        shared.write_text(content)
+        argv = ("grid", "--input", ex4_csv, "--response", "Y", "--covariates", "X1",
+                "--y-ladder", "4", "--x-ladder", "4", "--replicates", "20", "--seed", "1")
+        code, out, err = run(capsys, *argv, "--config", str(shared))
+        assert (code, err) == (0, "")
+        assert out.startswith("# config ") and out == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--config", '{"seed": 3, "categorize": {"X1": "quantile:4"}}'),
+            ("--replay", '{"X1": {"edges": [0.2, 0.5, 0.8]}}'),
+        ],
+        ids=["config", "replay"],
+    )
+    def test_a_json_file_may_start_with_a_byte_order_mark(
+        self, capsys, tmp_path, ex4_csv, flag, content
+    ):
+        path = tmp_path / "f.json"
+        argv = ("bins", "--input", ex4_csv, "--response", "Y", "--covariates", "X1", flag, str(path))
+        path.write_text(content, encoding="utf-8")
+        want = run(capsys, *argv)
+        path.write_text(content, encoding="utf-8-sig")
+        assert run(capsys, *argv) == want
+        assert want[0] == 0 and want[1]
