@@ -59,21 +59,22 @@ class DataError(Exception):
     """Invalid or unreadable input data; maps to exit code 2."""
 
 
-# The subcommands, each reading at least the settings the one before it reads
+# The subcommands, each reading at least the settings the one before it reads, except that
+# `grid` reads no directive: it clusters its two columns by K-means at each ladder value
 _ALL = ("simulate", "bins", "measure", "null", "grid", "select")
 _DATA, _REPORTS, _BANDS = _ALL[1:], _ALL[2:], _ALL[3:]
 
 # One row per common setting: flag, dest, value form, the subcommands that read it (`bins`
-# prints the seed; `grid` reads `--categorize` only to refuse it) and the rest of its argparse
-# arguments.  The dest is also the setting's config-file key, unless the form is None: a flag
-# that no config file sets.  A subcommand takes only its flags, and keeps only their keys.
+# prints the seed) and the rest of its argparse arguments.  The dest is also the setting's
+# config-file key, unless the form is None: a flag that no config file sets.  A subcommand
+# takes only its flags, and keeps only their keys.
 _SETTING_TABLE = (
     ("--input", "input", "text", _DATA, {"help": "input CSV path"}),
     ("--config", "config", None, _ALL, {"help": "JSON config file"}),
     ("--response", "response", "names", _DATA, {"help": "comma-separated response column(s)"}),
     ("--covariates", "covariates", "names", _DATA, {"help": "comma-separated covariate columns"}),
     (
-        "--categorize", "categorize", "directives", _DATA,
+        "--categorize", "categorize", "directives", ("bins", "measure", "null", "select"),
         {"help": "per-column directives, e.g. Y=quantile:10,X1=kmeans:12,G=categorical"},
     ),
     (
@@ -198,7 +199,10 @@ def _parse_categorize(text: str | None) -> dict:
         if "=" not in item:
             raise ConfigError(f"bad categorization directive {item!r}")
         col, spec = item.split("=", 1)
-        out[col.strip()] = _parse_directive(col.strip(), spec)
+        col = col.strip()
+        if col in out:
+            raise ConfigError(f"categorize names a column more than once: {col!r}")
+        out[col] = _parse_directive(col, spec)
     return out
 
 
@@ -253,19 +257,30 @@ def _check_config_file(cfg: dict) -> dict:
 
 def build_run_config(args) -> RunConfig:
     """The settings ``args.command`` reads: the config file's, each overridden by its flag
-    where one is given.  The file's keys that the subcommand does not read are dropped
-    once their form is checked, so they reach no range check and no digest."""
+    where one is given.  The file's keys the subcommand does not read, and its directives
+    for columns the run does not read, are dropped once their form is checked, so they
+    reach no range check and no digest; given as flags, they are a ConfigError."""
     read = {key for _, key, form, cmds, _ in _SETTING_TABLE if form and args.command in cmds}
+    flags = {k: v for k, v in vars(args).items() if k in read and v is not None}
+    if getattr(args, "replay", None):  # the replay file names the columns and their bins
+        read = {"input"}
+        given = [flag for flag, key, *_ in _SETTING_TABLE if key in flags.keys() - read]
+        if given:
+            raise ConfigError(f"bins --replay reads only --input, --config and --out, not {given}")
     file = _check_config_file(_load_json_object(args.config, "config file")) if args.config else {}
     settings = {k: v for k, v in file.items() if k in read}
-    flags = {k: v for k, v in vars(args).items() if k in read and v is not None}
-    settings["categorize"] = settings.get("categorize", {}) | _parse_categorize(
-        flags.pop("categorize", None)
-    )
+    directives = _parse_categorize(flags.pop("categorize", None))
     settings.update(flags)
     for role in ("response", "covariates", "noise_features"):  # text or a list of names
         v = settings.get(role, "")
         settings[role] = tuple([c for c in v.split(",") if c] if isinstance(v, str) else v)
+    named = settings["response"] + settings["covariates"]  # none named: `bins` reads every one
+    stray = [c for c in directives if named and c not in named]
+    if stray:
+        raise ConfigError(f"--categorize names columns the run does not read: {stray}")
+    file_directives = settings.get("categorize", {}).items()
+    settings["categorize"] = {c: d for c, d in file_directives if not named or c in named}
+    settings["categorize"].update(directives)
     fields = {k: settings.pop(k) for k in ("response", "covariates", "categorize")}
     fields.update(input_path=settings.pop("input", None), out_format=settings.pop("format", "tsv"))
     try:  # what is left is the protocol's
@@ -346,13 +361,6 @@ def _read_columns(path: str, header: list, reader, config: RunConfig) -> dict[st
         c: np.array(v, dtype=object) if type(v) is list else np.frombuffer(v)
         for c, v in columns.items()
     }
-
-
-def _require_numeric(config: RunConfig, columns, use: str = "K-means cannot cluster"):
-    """``use`` needs numbers: a column declared categorical is a ConfigError."""
-    for c in columns:
-        if config.directive(c)[0] == "categorical":
-            raise ConfigError(f"column {c!r}: {use} a categorical column")
 
 
 def _quantile_scheme(name: str, values: np.ndarray, k: int) -> BinningScheme:
@@ -481,7 +489,6 @@ def _series_config(args) -> RunConfig:
     if not config.covariates:
         raise ConfigError("no covariate columns named (use --covariates)")
     if len(config.response) > 1:  # fused by K-means, with k from the first column's directive
-        _require_numeric(config, config.response)
         first, *rest = config.response
         if config.categorize.get(first, ("kmeans",))[0] != "kmeans" or any(
             c in config.categorize for c in rest
@@ -523,7 +530,6 @@ def cmd_bins(args) -> int:
         }
         if not schemes:
             raise ConfigError(f"replay file {args.replay} holds no schemes")
-        _require_numeric(config, schemes, f"replay file {args.replay} cannot bin")
         for c, s in schemes.items():
             try:
                 schemes[c] = BinningScheme.from_json_dict(s)
@@ -532,7 +538,7 @@ def cmd_bins(args) -> int:
                     f"replay file {args.replay}: bad scheme for {c!r}: {exc}"
                 ) from exc
         # read exactly the scheme's columns: a column the CSV lacks is a data error
-        data = ingest_csv(config.input_path, replace(config, response=(), covariates=tuple(schemes)))
+        data = ingest_csv(config.input_path, replace(config, covariates=tuple(schemes)))
         _emit_csv({c: apply_bins(data[c], s).labels for c, s in schemes.items()}, args.out)
         return 0
     data = ingest_csv(config.input_path, config)
@@ -601,13 +607,6 @@ def cmd_grid(args) -> int:
     config = build_run_config(args)
     if len(config.response) != 1 or len(config.covariates) != 1:
         raise ConfigError("grid needs exactly one response and one covariate column")
-    _require_numeric(config, config.response + config.covariates)
-    for c in config.response + config.covariates:
-        if c in config.categorize:
-            raise ConfigError(
-                f"grid clusters {c!r} by K-means at each ladder value, so its directive "
-                f"{config.directive_text(c)} would be ignored (drop it from --categorize)"
-            )
     try:
         y_ladder = [int(v) for v in args.y_ladder.split(",")]
         x_ladder = [int(v) for v in args.x_ladder.split(",")]

@@ -96,10 +96,7 @@ CASES = (
     Case("null-tsv", NULL_EX4),
     Case("null-json", (*NULL_EX4, "--format", "json")),
     Case("bins", ("bins", *EX4, "--out", "schemes.json")),
-    Case(
-        "bins-replay-old-format",
-        ("bins", "--input", "ex4.csv", "--replay", "old-schemes.json", "--seed", "1"),
-    ),
+    Case("bins-replay-old-format", ("bins", "--input", "ex4.csv", "--replay", "old-schemes.json")),
     *(
         Case(f"simulate-{example}", ("simulate", "--example", example, "--n", "40", "--seed", "1"))
         for example in EXAMPLE_IDS

@@ -442,10 +442,7 @@ class TestExitCodes:
         path = tmp_path / "raw"
         path.write_bytes(content)
         # the last of a repeated flag wins, so a raw ``--input`` replaces ex4's
-        code_seen, out, err = run(
-            capsys, "bins", "--input", ex4_csv, "--response", "Y", "--covariates", "X1",
-            flag, str(path),
-        )
+        code_seen, out, err = run(capsys, "bins", "--input", ex4_csv, flag, str(path))
         assert code_seen == code
         assert err.startswith(prefix) and err.count("\n") == 1
         assert out == ""
@@ -515,6 +512,36 @@ class TestExitCodes:
         )
         assert (code, out) == (3, "")
         assert err == "config error: bad categorization directive 'X2'\n"
+
+    def test_categorize_naming_a_column_twice_is_exit_3_before_reading(self, capsys):
+        code, out, err = run(
+            capsys, "measure", "--input", "/no/such/file.csv", "--response", "Y",
+            "--covariates", "X1,X2", "--categorize", "X1=quantile:3,X2=kmeans:2,X1=quantile:5",
+        )
+        assert (code, out) == (3, "")
+        assert err == "config error: categorize names a column more than once: 'X1'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "--response", "Y", "--covariates", "X1"),
+            ("null", "--response", "Y", "--covariates", "X1,X2"),
+            ("select", "--response", "Y", "--covariates", "X1,X2"),
+            ("bins", "--covariates", "X1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_directive_for_a_column_the_run_does_not_read_is_exit_3_before_reading(
+        self, capsys, argv
+    ):
+        code, out, err = run(
+            capsys, *argv, "--input", "/no/such/file.csv",
+            "--categorize", "X1=quantile:3,X9=kmeans:2,Z=categorical",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "config error: --categorize names columns the run does not read: ['X9', 'Z']\n"
+        )
 
     @pytest.mark.parametrize("command", ["bins", "measure", "null", "grid", "select"])
     def test_missing_input_is_exit_3(self, capsys, command):
@@ -756,21 +783,24 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("grid", "--response", "G", "--covariates", "X", "--categorize", "G=categorical",
-             "--y-ladder", "2", "--x-ladder", "2", "--replicates", "20"),
-            ("measure", "--response", "Y,G", "--covariates", "X",
-             "--categorize", "G=categorical"),
+            (("grid", "--response", "G", "--covariates", "X", "--categorize", "G=categorical",
+              "--y-ladder", "2", "--x-ladder", "2", "--replicates", "20"),
+             "ceda: unrecognized arguments: --categorize G=categorical"),
+            (("measure", "--response", "Y,G", "--covariates", "X",
+              "--categorize", "G=categorical"),
+             "response Y,G: a multi-column response takes one directive, kmeans:K, on its "
+             "first column 'Y'"),
         ],
         ids=["grid", "fused-response"],
     )
-    def test_kmeans_on_a_categorical_column_is_exit_3(self, capsys, tmp_path, argv):
+    def test_kmeans_on_a_categorical_column_is_exit_3(self, capsys, tmp_path, argv, message):
         path = tmp_path / "d.csv"
         path.write_text("Y,X,G\n" + "".join(f"{i},{i % 4},{'ab'[i % 2]}\n" for i in range(12)))
         code, out, err = run(capsys, *argv, "--input", str(path))
         assert code == 3
-        assert err.startswith("config error: column 'G': K-means")
+        assert err == f"config error: {message}\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -823,7 +853,7 @@ class TestExitCodes:
             (["measure", "--response", "Y", "--covariates", "X1,X2", "--subsets", "NOPE"],
              "subset names unknown covariates ['NOPE']"),
             (["null", "--response", "Y,X1", "--covariates", "X2", "--categorize", "Y=categorical"],
-             "K-means cannot cluster a categorical column"),
+             "response Y,X1: a multi-column response takes one directive, kmeans:K, on its first"),
             (["measure", "--response", "Y,X1", "--covariates", "X2",
               "--categorize", "Y=quantile:3"],
              "response Y,X1: a multi-column response takes one directive, kmeans:K, on its first"),
@@ -1085,10 +1115,7 @@ class TestBinsCommand:
         replay_input = {k: v for k, v in schemes.items() if k == "Y"}
         replay_path = tmp_path / "y_only.json"
         replay_path.write_text(json.dumps(replay_input))
-        code, out, _ = run(
-            capsys, "bins", "--input", ex1_csv, "--response", "Y",
-            "--covariates", "V1", "--replay", str(replay_path),
-        )
+        code, out, _ = run(capsys, "bins", "--input", ex1_csv, "--replay", str(replay_path))
         assert code == 0
         labels = [int(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
         data = sample(GeneratorSpec("ex1", 4000, seed=2))
@@ -1172,10 +1199,49 @@ class TestBinsCommand:
         )
         assert code == 3
         assert err == (
-            f"config error: column 'G': replay file {replay_path} cannot bin"
-            " a categorical column\n"
+            "config error: bins --replay reads only --input, --config and --out, "
+            "not ['--categorize']\n"
         )
         assert out == ""
+
+    def test_replay_on_a_text_column_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("G\n" + "".join(f"{'ab'[i % 2]}\n" for i in range(8)))
+        replay_path = tmp_path / "s.json"
+        replay_path.write_text(json.dumps({"G": quantile_bins(np.arange(8.0), 1).to_json_dict()}))
+        code, out, err = run(capsys, "bins", "--input", str(path), "--replay", str(replay_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"data error: {path}: row 1, column 'G': cannot parse 'a' as a finite number\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--response", "Nope"), ("--covariates", "Zip"), ("--categorize", "X=kmeans:5"),
+         ("--seed", "9")],
+    )
+    def test_replay_refuses_a_flag_it_does_not_read_before_reading(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, "bins", "--input", "/no/such/file.csv", "--replay", "/no/such/s.json",
+            flag, value,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"config error: bins --replay reads only --input, --config and --out, not ['{flag}']\n"
+        )
+
+    def test_replay_drops_the_config_keys_it_does_not_read(self, capsys, tmp_path, ex4_csv):
+        scheme_path = tmp_path / "schemes.json"
+        scheme_path.write_text(json.dumps({"X1": {"edges": [0.2, 0.5, 0.8]}}))
+        shared = tmp_path / "cfg.json"
+        shared.write_text(json.dumps(
+            {"response": "Nope", "covariates": ["Zip"], "seed": 9,
+             "categorize": {"X1": "categorical"}}
+        ))
+        argv = ("bins", "--input", ex4_csv, "--replay", str(scheme_path))
+        code, out, err = run(capsys, *argv, "--config", str(shared))
+        assert (code, err) == (0, "")
+        assert out.startswith("X1\n") and out == run(capsys, *argv)[1]
 
     def test_replay_of_a_column_the_csv_lacks_is_exit_2(self, capsys, tmp_path, ex1_csv):
         replay_path = tmp_path / "z.json"
@@ -1242,14 +1308,12 @@ class TestGridCommand:
     def test_directive_grid_would_ignore_is_exit_3_before_reading(
         self, capsys, tmp_path, directive
     ):
-        column, spec = directive.split("=")
         code, out, err = run(
             capsys, "grid", "--input", str(tmp_path / "missing.csv"), "--response", "Y",
             "--covariates", "X", "--categorize", directive,
         )
         assert code == 3
-        assert err.startswith(f"config error: grid clusters {column!r} by K-means")
-        assert spec in err and err.count("\n") == 1
+        assert err == f"config error: ceda: unrecognized arguments: --categorize {directive}\n"
         assert out == ""
 
 
@@ -1496,8 +1560,10 @@ def cli_runs(draw):
     """A small CSV with awkward columns, one command with flags at or past their bounds,
     and the contents of the JSON files it reads (``--config``, ``bins --replay``).
 
-    The command gets only the common flags it reads, but 1 draw in 10 adds one it does
-    not read, which is returned as well (None when there is none).
+    The command gets only the common flags it reads, and directives only for the columns
+    it names, but 1 draw in 10 adds a flag it does not read, which is returned as well
+    (None when there is none), and 1 in 10 adds a directive for column Z, which none
+    names (the last item, a bool).
     """
 
     def value(flag):
@@ -1523,12 +1589,15 @@ def cli_runs(draw):
     files = {}
     if draw(st.booleans()):
         files["--config"] = draw(config_files())
+    stray = False
     if command == "simulate":
         example = draw(st.sampled_from(EXAMPLE_IDS))
         argv = ["simulate", "--example", example, "--n", value("--n"), *seed]
+    elif command == "bins" and draw(st.booleans()):  # the replay file names the columns
+        files["--replay"] = draw(replay_files())
+        reads = ["--input", "--config", "--out"]
+        argv = ["bins"]
     else:
-        if command == "bins" and draw(st.booleans()):
-            files["--replay"] = draw(replay_files())
         roles = [("Y", "X1,X2")] * 3 + [
             ("Y", "X1"), ("Y,X2", "X1"), ("Y", "X1,Y"), ("Y", "X1,X1"), ("Y,Y", "X1"),
         ]
@@ -1540,9 +1609,14 @@ def cli_runs(draw):
             argv += ["--y-ladder", value("--y-ladder"), "--x-ladder", value("--x-ladder")]
         if "--replicates" in reads:
             argv += ["--replicates", value("--replicates")]
-        directives = [f"{c}={value('--categorize')}" for c in header if draw(st.booleans())]
-        if directives:
-            argv += ["--categorize", ",".join(directives)]
+        if "--categorize" in reads:
+            named = dict.fromkeys(",".join(roles).split(","))
+            directives = [f"{c}={value('--categorize')}" for c in named if draw(st.booleans())]
+            stray = draw(st.integers(0, 9)) == 9
+            if stray:
+                directives.append(f"Z={value('--categorize')}")
+            if directives:
+                argv += ["--categorize", ",".join(directives)]
         for flag in ("--max-order", "--threads", "--r-int", "--cell-floor", "--noise", "--subsets"):
             if (flag in reads or flag == "--subsets" and command in ("measure", "null")) and (
                 draw(st.booleans())
@@ -1553,16 +1627,17 @@ def cli_runs(draw):
     unread = [flag for flag in common_flags("select") if flag not in reads]
     if unread and draw(st.integers(0, 9)) == 9:
         flag = draw(st.sampled_from(unread))
-        return text, [*argv, flag, value(flag) if flag in FLAGS else "X1"], files, flag
-    return text, argv, files, None
+        return text, [*argv, flag, value(flag) if flag in FLAGS else "X1"], files, flag, stray
+    return text, argv, files, None, stray
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cli_runs())
 def test_exit_code_contract(tmp_path_factory, run_case):
     """Every input ends in exit 0 with a parseable report, 2 or 3; never in a traceback.
-    A flag the command does not read is a usage error: exit 3, in one line."""
-    text, argv, files, unread = run_case
+    A flag the command does not read is a usage error, and a directive for a column it
+    does not read a settings error: exit 3, in one line."""
+    text, argv, files, unread, stray = run_case
     folder = tmp_path_factory.mktemp("fuzz")
     (folder / "d.csv").write_bytes(text.encode("utf-8", "surrogateescape"))
     paths = ["--input", str(folder / "d.csv")] if "--input" in common_flags(argv[0]) else []
@@ -1577,10 +1652,13 @@ def test_exit_code_contract(tmp_path_factory, run_case):
     if unread:
         assert (code, out.getvalue()) == (3, "")
         # a flag value of the wrong type is a usage error too, and argparse reports it first
-        assert re.fullmatch(
-            rf"config error: ceda.*(unrecognized arguments: {unread} |: invalid ).*\n",
-            err.getvalue(),
-        )
+        pattern = rf"ceda.*(unrecognized arguments: {unread} |: invalid ).*"
+        if "--replay" in files:  # a flag `bins` takes and its replay does not read
+            pattern += rf"|bins --replay reads only .*, not \['{unread}'\]"
+        assert re.fullmatch(rf"config error: ({pattern})\n", err.getvalue())
+    elif stray:
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
     elif code == 0:
         report = out.getvalue()
         if "--replay" in files:
@@ -1628,7 +1706,7 @@ class TestSettingsTable:
             for command, p in sub.choices.items()
         }
         assert taken == {command: common_flags(command) for command in COMMANDS}
-        assert sum(map(len, taken.values())) == 52
+        assert sum(map(len, taken.values())) == 51
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -1638,6 +1716,7 @@ class TestSettingsTable:
             ("simulate", "--input", "x.csv"), ("simulate", "--max-order", "99"),
             ("measure", "--noise", "ZZ"), ("measure", "--max-order", "99"),
             ("measure", "--r-int", "5"), ("bins", "--format", "tsv"),
+            ("grid", "--categorize", "Z=quantile:3"),
         ],
     )
     def test_a_flag_the_subcommand_does_not_read_is_exit_3_before_reading(
@@ -1671,6 +1750,29 @@ class TestSettingsTable:
         assert out.startswith("# config ") and out == run(capsys, *argv)[1]
 
     @pytest.mark.parametrize(
+        "argv, full, kept",
+        [
+            (("measure", "--response", "Y", "--covariates", "X1"),
+             {"X1": "quantile:4", "X2": "kmeans:3", "Z": "categorical"}, {"X1": "quantile:4"}),
+            (("grid", "--response", "Y", "--covariates", "X1", "--y-ladder", "4",
+              "--x-ladder", "4", "--replicates", "20"),
+             {"Y": "quantile:3", "X1": "categorical", "Z": "categorical"}, {}),
+        ],
+        ids=["measure", "grid"],
+    )
+    def test_config_directives_for_columns_the_run_does_not_read_move_no_byte(
+        self, capsys, tmp_path, ex4_csv, argv, full, kept
+    ):
+        outs = []
+        for directives in (full, kept):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"seed": 2, "categorize": directives}))
+            code, out, err = run(capsys, *argv, "--input", ex4_csv, "--config", str(path))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0].startswith("# config ") and outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
         "flag, content",
         [
             ("--config", '{"seed": 3, "categorize": {"X1": "quantile:4"}}'),
@@ -1682,7 +1784,7 @@ class TestSettingsTable:
         self, capsys, tmp_path, ex4_csv, flag, content
     ):
         path = tmp_path / "f.json"
-        argv = ("bins", "--input", ex4_csv, "--response", "Y", "--covariates", "X1", flag, str(path))
+        argv = ("bins", "--input", ex4_csv, flag, str(path))
         path.write_text(content, encoding="utf-8")
         want = run(capsys, *argv)
         path.write_text(content, encoding="utf-8-sig")
